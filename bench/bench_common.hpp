@@ -7,7 +7,8 @@
 // traffic, wall clock), then tabulate.  This header dedupes that skeleton
 // so the benches contain only their experiment-specific grid and tables.
 //
-// Flags (every converted bench accepts all of these):
+// Flags (a bench exits 2 on those it lists as `unsupported` in parse_args,
+// rather than ignoring them; every other flag is accepted):
 //   --threads N     sweep + designer parallelism: 0 = all cores (default),
 //                   1 = serial (use two runs to measure the speedup)
 //   --smoke         shrink the grid to a tiny configuration; used by the CI
@@ -50,10 +51,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/lp_cache.hpp"
@@ -83,7 +86,9 @@ struct BenchArgs {
   std::string trace_path;
 };
 
-inline BenchArgs parse_args(int argc, char** argv, const char* bench_name) {
+inline BenchArgs parse_args(
+    int argc, char** argv, const char* bench_name,
+    std::initializer_list<std::string_view> unsupported = {}) {
   if (argc >= 2 && std::strcmp(argv[1], "worker") == 0) {
     // Distributed worker mode: stdin/stdout belong to the frame protocol,
     // so enter the loop before any bench code can print.
@@ -105,6 +110,13 @@ inline BenchArgs parse_args(int argc, char** argv, const char* bench_name) {
     return *parsed;
   };
   for (int i = 1; i < argc; ++i) {
+    for (const std::string_view flag : unsupported) {
+      if (flag == argv[i]) {
+        std::fprintf(stderr, "%s: %s is not supported by this bench\n",
+                     bench_name, argv[i]);
+        std::exit(2);
+      }
+    }
     if (std::strcmp(argv[i], "--smoke") == 0) {
       args.smoke = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
@@ -213,11 +225,11 @@ inline core::SweepReport run_sweep(const core::DesignSweep& sweep,
   const std::size_t cells = report.cells.size();
   std::printf("%s: %zu cells | %zu LP solves for %zu cells "
               "(%zu distinct LP configs, %zu saved by reuse",
-              label, cells, report.lp_solves, cells, report.lp_configs,
+              label, cells, report.lp.solves, cells, report.lp_configs,
               report.saved_by_reuse());
   if (!args.lp_cache_dir.empty()) {
-    std::printf(", cache %zu hits / %zu misses", report.lp_cache_hits,
-                report.lp_cache_misses);
+    std::printf(", cache %zu hits / %zu misses", report.lp.cache_hits,
+                report.lp.cache_misses);
   }
   std::printf(") | %.2fs (threads=%zu%s)", report.wall_seconds, args.threads,
               args.threads == 0 ? " = all" : "");

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf(
       "DesignSweep: %zu cells | %zu LP solves (%zu distinct LP configs) | "
       "serial %.2fs | parallel %.2fs | %.2fx\n\n",
-      sweep.num_cells(), report.lp_solves, report.lp_configs,
+      sweep.num_cells(), report.lp.solves, report.lp_configs,
       serial_report.wall_seconds, report.wall_seconds,
       report.wall_seconds > 0.0
           ? serial_report.wall_seconds / report.wall_seconds

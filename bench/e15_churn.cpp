@@ -2,136 +2,72 @@
 // algorithm "can be rerun as often as needed so that the overlay network
 // adapts to changes").
 //
-// Replays one deterministic churn stream (serve::ChurnGenerator — edge
-// failures/restores, fanout changes, reflector joins/leaves) through two
-// core::DesignState instances per topology size:
+// Feeds one deterministic churn stream (serve::ChurnGenerator — edge
+// failures/restores, fanout changes, reflector joins/leaves) line by line
+// into two journal-less serve::ServeSession instances per topology size,
+// through handle_line() — the real serve path: parse, apply, redesign,
+// ack:
 //
 //   cold: lp_warm_start off — every event pays a full simplex solve, the
 //         cost `omn_design design` would pay per rerun;
-//   warm: lp_warm_start on — the DesignState's memory LpCache serves
+//   warm: lp_warm_start on — the session's memory LpCache serves
 //         byte-identical re-solves (fail + restore pairs) for zero pivots
 //         and warm-starts same-shaped re-solves from the previous basis.
 //
 // The point of the experiment is the pivot ledger: warm incremental
 // redesign must do strictly less simplex work per event than cold — the
 // bench enforces that in-binary (exit 1) and the CI perf gate pins the
-// exact counters via BENCH_e15.json.
+// exact counters via BENCH_e15.json.  Each --metrics record is the
+// session's own ServeStats record (serve::to_json).
 //
-// Flags: see bench_common.hpp (--workers/--lp-cache are accepted for
-// flag-parity but the churn loop is inherently sequential, so --workers
-// is rejected and --lp-cache is unused: the warm variant's cache must be
-// memory-only for the committed counters to be machine-independent).
+// Flags: see bench_common.hpp.  --workers and --lp-cache exit 2: one
+// churn stream is inherently sequential, and the warm variant's cache
+// must stay memory-only for the committed counters to be
+// machine-independent.
 
 #include <cstdio>
+#include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "omn/core/design_state.hpp"
 #include "omn/serve/churn.hpp"
 #include "omn/serve/serve.hpp"
 #include "omn/topo/akamai.hpp"
 #include "omn/util/stats.hpp"
-#include "omn/util/timer.hpp"
 
 namespace {
 
-struct ChurnRun {
-  std::string label;
-  std::size_t events = 0;
-  std::size_t redesigns = 0;
-  std::size_t lp_iterations = 0;
-  std::size_t lp_phase1_iterations = 0;
-  std::size_t lp_refactorizations = 0;
-  std::size_t lp_warm_start_hits = 0;
-  std::size_t lp_cache_hits = 0;
-  std::vector<double> redesign_seconds;
-
-  double wall_seconds() const {
-    double total = 0.0;
-    for (double s : redesign_seconds) total += s;
-    return total;
-  }
-};
-
-/// Replays `events` through a fresh DesignState (warm or cold) and
-/// returns the work ledger.  Cache hits contribute zero pivots — no
-/// simplex ran — mirroring the DesignSweep counter convention.
-ChurnRun replay(const omn::net::OverlayInstance& base,
-                const std::vector<omn::serve::Event>& events,
-                const omn::bench::BenchArgs& args, int sinks, bool warm) {
-  omn::core::DesignerConfig cfg;
-  cfg.seed = 1;
-  cfg.rounding_attempts = 1;
-  cfg.threads = static_cast<int>(args.threads);
-  cfg.lp_warm_start = warm;
-  omn::core::DesignState state(
-      base, cfg, omn::core::OverlayDesigner::default_context(cfg));
-
-  ChurnRun run;
-  run.label = "churn/" + std::to_string(sinks) + (warm ? "/warm" : "/cold");
-  const auto account = [&run](const omn::core::DesignResult& result,
-                              double seconds) {
-    ++run.redesigns;
-    run.redesign_seconds.push_back(seconds);
-    if (result.lp_cache_hit) {
-      ++run.lp_cache_hits;
-    } else {
-      run.lp_iterations += static_cast<std::size_t>(result.lp_iterations);
-      run.lp_phase1_iterations +=
-          static_cast<std::size_t>(result.lp_phase1_iterations);
-      run.lp_refactorizations +=
-          static_cast<std::size_t>(result.lp_refactorizations);
-    }
-    if (result.lp_warm_start) ++run.lp_warm_start_hits;
-  };
-
-  const auto timed_redesign = [&]() {
-    const omn::util::Timer timer;
-    const omn::core::DesignResult& result = state.redesign();
-    account(result, timer.seconds());
-  };
-
-  timed_redesign();  // the initial design both variants start from
+/// Feeds `events` to a fresh journal-less ServeSession (warm or cold) and
+/// returns its stats: the initial design plus one redesign per event.
+omn::serve::ServeStats replay(const omn::net::OverlayInstance& base,
+                              const std::vector<omn::serve::Event>& events,
+                              const omn::bench::BenchArgs& args, bool warm) {
+  omn::serve::ServeOptions options;
+  options.config.seed = 1;
+  options.config.rounding_attempts = 1;
+  options.config.threads = static_cast<int>(args.threads);
+  options.config.lp_warm_start = warm;
+  omn::serve::ServeSession session(
+      base, options,
+      omn::core::OverlayDesigner::default_context(options.config));
   for (const omn::serve::Event& event : events) {
-    omn::serve::apply_event(state, event);
-    ++run.events;
-    timed_redesign();
+    const std::string ack = session.handle_line(event.to_line());
+    if (ack.rfind("ok ", 0) != 0) {
+      std::fprintf(stderr, "e15_churn: '%s' -> %s\n", event.to_line().c_str(),
+                   ack.c_str());
+      std::exit(1);
+    }
   }
-  return run;
-}
-
-void record_metrics(const omn::bench::BenchArgs& args, const ChurnRun& run) {
-  if (args.metrics_path.empty()) return;
-  omn::util::Json record = omn::util::Json::object();
-  record.set("label", run.label);
-  record.set("events", run.events);
-  record.set("redesigns", run.redesigns);
-  record.set("lp_iterations", run.lp_iterations);
-  record.set("lp_phase1_iterations", run.lp_phase1_iterations);
-  record.set("lp_refactorizations", run.lp_refactorizations);
-  record.set("lp_warm_start_hits", run.lp_warm_start_hits);
-  record.set("lp_cache_hits", run.lp_cache_hits);
-  record.set("redesign_wall_p50",
-             omn::util::percentile(run.redesign_seconds, 0.50));
-  record.set("redesign_wall_p99",
-             omn::util::percentile(run.redesign_seconds, 0.99));
-  record.set("wall_seconds", run.wall_seconds());
-  omn::bench::metrics_records().push(std::move(record));
-  omn::bench::write_metrics(args);
+  return session.stats();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const omn::bench::BenchArgs args =
-      omn::bench::parse_args(argc, argv, "e15_churn");
-  if (args.workers > 0) {
-    std::fprintf(stderr,
-                 "e15_churn: --workers is not supported (one churn stream "
-                 "is inherently sequential)\n");
-    return 2;
-  }
+  const omn::bench::BenchArgs args = omn::bench::parse_args(
+      argc, argv, "e15_churn", {"--workers", "--lp-cache"});
 
   std::vector<int> sink_sizes;
   if (args.smoke) {
@@ -153,37 +89,42 @@ int main(int argc, char** argv) {
     const std::vector<omn::serve::Event> events =
         omn::serve::ChurnGenerator(inst, churn).take(num_events);
 
-    const ChurnRun cold = replay(inst, events, args, sinks, /*warm=*/false);
-    const ChurnRun warm = replay(inst, events, args, sinks, /*warm=*/true);
-    record_metrics(args, cold);
-    record_metrics(args, warm);
+    const omn::serve::ServeStats cold =
+        replay(inst, events, args, /*warm=*/false);
+    const omn::serve::ServeStats warm =
+        replay(inst, events, args, /*warm=*/true);
 
-    for (const ChurnRun* run : {&cold, &warm}) {
+    for (const omn::serve::ServeStats* run : {&cold, &warm}) {
+      const std::string variant = run == &cold ? "cold" : "warm";
+      omn::bench::metrics_records().push(omn::serve::to_json(
+          *run, "churn/" + std::to_string(sinks) + "/" + variant));
+      const std::vector<double>& seconds = run->redesign_seconds;
       table.row()
           .cell(sinks)
-          .cell(run == &cold ? "cold" : "warm")
+          .cell(variant)
           .cell(run->events)
-          .cell(run->lp_iterations)
-          .cell(run->lp_phase1_iterations)
-          .cell(run->lp_refactorizations)
-          .cell(run->lp_warm_start_hits)
-          .cell(run->lp_cache_hits)
-          .cell(1e3 * omn::util::percentile(run->redesign_seconds, 0.50), 3)
-          .cell(1e3 * omn::util::percentile(run->redesign_seconds, 0.99), 3)
-          .cell(run->wall_seconds(), 2);
+          .cell(run->lp.iterations)
+          .cell(run->lp.phase1_iterations)
+          .cell(run->lp.refactorizations)
+          .cell(run->lp.warm_start_hits)
+          .cell(run->lp.cache_hits)
+          .cell(1e3 * omn::util::percentile(seconds, 0.50), 3)
+          .cell(1e3 * omn::util::percentile(seconds, 0.99), 3)
+          .cell(std::accumulate(seconds.begin(), seconds.end(), 0.0), 2);
     }
+    omn::bench::write_metrics(args);
 
     // The experiment's claim, enforced: warm incremental redesign does
     // strictly less simplex work over the stream, and actually warm-starts
     // (a vacuous pass where warm never engaged would hide a regression in
     // the shape index).
-    if (warm.lp_iterations >= cold.lp_iterations ||
-        warm.lp_warm_start_hits + warm.lp_cache_hits == 0) {
+    if (warm.lp.iterations >= cold.lp.iterations ||
+        warm.lp.warm_start_hits + warm.lp.cache_hits == 0) {
       std::fprintf(stderr,
                    "e15_churn: GATE FAILED at %d sinks: warm %zu pivots "
                    "(%zu warm hits, %zu cache hits) vs cold %zu pivots\n",
-                   sinks, warm.lp_iterations, warm.lp_warm_start_hits,
-                   warm.lp_cache_hits, cold.lp_iterations);
+                   sinks, warm.lp.iterations, warm.lp.warm_start_hits,
+                   warm.lp.cache_hits, cold.lp.iterations);
       gate_ok = false;
     }
   }

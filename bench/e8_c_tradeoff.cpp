@@ -58,12 +58,12 @@ int main(int argc, char** argv) {
   // warm --lp-cache collapses the solves to 0 again.
   const std::size_t lp_budget =
       args.workers == 0 ? 1 : dist::kDefaultShardsPerWorker * args.workers;
-  if (report.lp_solves + report.lp_cache_hits < 1 ||
-      report.lp_solves + report.lp_cache_hits > lp_budget) {
+  if (report.lp.solves + report.lp.cache_hits < 1 ||
+      report.lp.solves + report.lp.cache_hits > lp_budget) {
     std::fprintf(stderr,
                  "E8: rounding-only grid must reuse the LP solve "
                  "(budget %zu), got %zu solves + %zu cache hits\n",
-                 lp_budget, report.lp_solves, report.lp_cache_hits);
+                 lp_budget, report.lp.solves, report.lp.cache_hits);
     return 1;
   }
   if (!report.cell(0, 0).result.ok()) {

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   }
   std::printf("designed %zu configs in %.2fs (pool-backed sweep, %zu LP "
               "solves for %zu distinct LP configs)\n",
-              sweep.num_cells(), report.wall_seconds, report.lp_solves,
+              sweep.num_cells(), report.wall_seconds, report.lp.solves,
               report.lp_configs);
 
   std::printf("no-failure cost: plain $%.2f | color-constrained $%.2f\n",

@@ -22,8 +22,8 @@
 // context (context.set_service(...)), the planner consults it before
 // solving, so repeated sweeps over the same topology — across run()
 // calls, benches, or processes sharing a cache directory — skip the LP
-// work entirely; SweepReport::lp_cache_hits/misses make that observable,
-// and a warm cache drives lp_solves to 0.  Designs stay bit-identical
+// work entirely; SweepReport::lp (an LpWork) makes that observable, and a
+// warm cache drives lp.solves to 0.  Designs stay bit-identical
 // with the cache on or off.
 //
 // Cells are ordered instance-major, config-minor; report.cell(i, c) gives
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "omn/core/designer.hpp"
+#include "omn/core/lp_work.hpp"
 #include "omn/net/instance.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/json.hpp"
@@ -85,24 +86,14 @@ struct SweepReport {
   /// Number of distinct LP configurations among the sweep's configs
   /// (groups of configs differing only in rounding knobs).
   std::size_t lp_configs = 0;
-  /// Simplex solves actually performed: num_instances * lp_configs when
-  /// the planner reused solves (num_cells with reuse_lp off), minus any
-  /// solves served by the LP cache.  A fully warm cache makes this 0.
-  std::size_t lp_solves = 0;
-  /// LP cache traffic, when a core::LpCache service is installed on the
-  /// execution context (both stay 0 otherwise).  Hits + misses equals the
-  /// planner's distinct (instance, LP config) solves — or num_cells with
-  /// reuse_lp off — and lp_solves == lp_cache_misses when a cache is on.
-  std::size_t lp_cache_hits = 0;
-  std::size_t lp_cache_misses = 0;
-  /// Simplex work actually performed across the sweep's LP solves (cache
-  /// hits contribute 0 — no pivots ran): total and phase-1 pivot counts,
-  /// basis refactorizations, and how many solves started from a cached
-  /// same-shape basis (always 0 unless a config sets lp_warm_start).
-  std::size_t lp_iterations = 0;
-  std::size_t lp_phase1_iterations = 0;
-  std::size_t lp_refactorizations = 0;
-  std::size_t lp_warm_start_hits = 0;
+  /// LP work over the sweep's solves (see LpWork for the rule).
+  /// lp.solves is num_instances * lp_configs when the planner reused
+  /// solves (num_cells with reuse_lp off), minus the LPs the cache served;
+  /// a fully warm cache makes it 0.  Cache hits + misses equal the
+  /// planner's distinct (instance, LP config) LPs when a core::LpCache
+  /// service is installed on the execution context, and both stay 0
+  /// otherwise.
+  LpWork lp;
   /// Wall-clock seconds for the whole grid (serial-vs-parallel speedup is
   /// the ratio of two runs' wall_seconds).  For a merged distributed
   /// report this is the end-to-end time the caller observed when it
@@ -121,7 +112,7 @@ struct SweepReport {
 
   /// Merges a shard report (cells covering any subset of this report's
   /// grid) into this one: each shard cell lands at its global
-  /// instance-major slot, the LP counters add up, wall_seconds takes the
+  /// instance-major slot, the LP work adds up, wall_seconds takes the
   /// max (shards run concurrently) and cpu_seconds the sum of the shards'
   /// walls.  The receiver must carry the full grid dimensions; its cells
   /// vector is sized on first merge.  Throws std::invalid_argument when
@@ -129,8 +120,8 @@ struct SweepReport {
   void merge(const SweepReport& shard);
 
   /// Cells whose LP solve was shared (reuse planner) or served from the
-  /// cache instead of running the simplex: cells - lp_solves -
-  /// lp_cache_hits, clamped at 0.  The quantity every summary line and
+  /// cache instead of running the simplex: cells - lp.solves -
+  /// lp.cache_hits, clamped at 0.  The quantity every summary line and
   /// metrics file reports — defined once here.
   std::size_t saved_by_reuse() const;
 };

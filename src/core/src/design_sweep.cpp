@@ -1,6 +1,5 @@
 #include "omn/core/design_sweep.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +13,9 @@ namespace omn::core {
 DesignSweep& DesignSweep::add_instance(std::string label,
                                        net::OverlayInstance instance) {
   instances_.emplace_back(std::move(label), std::move(instance));
+  // Cells read each instance from several threads at once: build its lazy
+  // adjacency indexes now, so no const accessor writes them concurrently.
+  instances_.back().second.freeze();
   return *this;
 }
 
@@ -46,13 +48,7 @@ void SweepReport::merge(const SweepReport& shard) {
     cells[index] = cell;
   }
   if (shard.lp_configs > lp_configs) lp_configs = shard.lp_configs;
-  lp_solves += shard.lp_solves;
-  lp_cache_hits += shard.lp_cache_hits;
-  lp_cache_misses += shard.lp_cache_misses;
-  lp_iterations += shard.lp_iterations;
-  lp_phase1_iterations += shard.lp_phase1_iterations;
-  lp_refactorizations += shard.lp_refactorizations;
-  lp_warm_start_hits += shard.lp_warm_start_hits;
+  lp += shard.lp;
   // Shards run concurrently, so the merged wall is the slowest shard;
   // the merged cpu is the total machine time across all of them.
   if (shard.wall_seconds > wall_seconds) wall_seconds = shard.wall_seconds;
@@ -60,7 +56,7 @@ void SweepReport::merge(const SweepReport& shard) {
 }
 
 std::size_t SweepReport::saved_by_reuse() const {
-  const std::size_t spent = lp_solves + lp_cache_hits;
+  const std::size_t spent = lp.solves + lp.cache_hits;
   return cells.size() > spent ? cells.size() - spent : 0;
 }
 
@@ -70,13 +66,7 @@ util::Json to_json(const SweepReport& report) {
   j.set("instances", report.num_instances);
   j.set("configs", report.num_configs);
   j.set("lp_configs", report.lp_configs);
-  j.set("lp_solves", report.lp_solves);
-  j.set("lp_cache_hits", report.lp_cache_hits);
-  j.set("lp_cache_misses", report.lp_cache_misses);
-  j.set("lp_iterations", report.lp_iterations);
-  j.set("lp_phase1_iterations", report.lp_phase1_iterations);
-  j.set("lp_refactorizations", report.lp_refactorizations);
-  j.set("lp_warm_start_hits", report.lp_warm_start_hits);
+  report.lp.write_json(j, LpWork::Keys::kSweep);
   j.set("saved_by_reuse", report.saved_by_reuse());
   j.set("wall_seconds", report.wall_seconds);
   j.set("cpu_seconds", report.cpu_seconds);
@@ -172,7 +162,7 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
     // Ungrouped: every cell builds and solves its own LP (the pre-planner
     // behaviour, kept for measurement and bit-identity tests).  The
     // designer consults the context's cache itself; the per-cell outcome
-    // lands in result.lp_cache_hit, tallied below.
+    // lands in result.lp_cache_hit, tallied after the join.
     context.parallel_for(
         count,
         [&](std::size_t t) {
@@ -188,19 +178,7 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
         },
         fan);
     for (const SweepCell& cell : report.cells) {
-      if (cell.result.lp_cache_hit) {
-        ++report.lp_cache_hits;
-      } else {
-        ++report.lp_solves;
-        if (cache != nullptr) ++report.lp_cache_misses;
-        report.lp_iterations +=
-            static_cast<std::size_t>(cell.result.lp_iterations);
-        report.lp_phase1_iterations +=
-            static_cast<std::size_t>(cell.result.lp_phase1_iterations);
-        report.lp_refactorizations +=
-            static_cast<std::size_t>(cell.result.lp_refactorizations);
-        if (cell.result.lp_warm_start) ++report.lp_warm_start_hits;
-      }
+      report.lp += LpWork::of(cell.result, cache != nullptr);
     }
     report.wall_seconds = wall.seconds();
     report.cpu_seconds = report.wall_seconds;
@@ -235,13 +213,8 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
   // group ids repeat non-monotonically when configs interleave groups).
   for (std::size_t n = 0; n < needed.size(); ++n) solved_index[needed[n]] = n;
 
+  // Each task writes only its own slot; the work is tallied after the join.
   std::vector<SolvedLp> solved(needed.size());
-  std::atomic<std::size_t> solves{0};
-  std::atomic<std::size_t> cache_hits{0};
-  std::atomic<std::size_t> iterations{0};
-  std::atomic<std::size_t> phase1_iterations{0};
-  std::atomic<std::size_t> refactorizations{0};
-  std::atomic<std::size_t> warm_hits{0};
   context.parallel_for(
       solved.size(),
       [&](std::size_t t) {
@@ -260,31 +233,11 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
         s.solution = std::move(cached.solution);
         s.cache_hit = cached.cache_hit;
         s.seconds = timer.seconds();
-        if (s.cache_hit) {
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          solves.fetch_add(1, std::memory_order_relaxed);
-          iterations.fetch_add(static_cast<std::size_t>(s.solution.iterations),
-                               std::memory_order_relaxed);
-          phase1_iterations.fetch_add(
-              static_cast<std::size_t>(s.solution.phase1_iterations),
-              std::memory_order_relaxed);
-          refactorizations.fetch_add(
-              static_cast<std::size_t>(s.solution.refactorizations),
-              std::memory_order_relaxed);
-          if (s.solution.warm_started) {
-            warm_hits.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
       },
       fan);
-  report.lp_solves = solves.load();
-  report.lp_cache_hits = cache_hits.load();
-  if (cache != nullptr) report.lp_cache_misses = report.lp_solves;
-  report.lp_iterations = iterations.load();
-  report.lp_phase1_iterations = phase1_iterations.load();
-  report.lp_refactorizations = refactorizations.load();
-  report.lp_warm_start_hits = warm_hits.load();
+  for (const SolvedLp& s : solved) {
+    report.lp += LpWork::of(s.solution, s.cache_hit, cache != nullptr);
+  }
 
   // Phase 2: fan the rounding cells out over the shared solves.  Nested
   // rounding attempts reuse the same context (and pool), so a sweep never

@@ -190,40 +190,28 @@ DesignResult OverlayDesigner::design_from_lp(
     return outcome;
   };
 
-  // Both paths pick the winner by scanning attempts in index order with
-  // the same comparator, so for a fixed seed the parallel path is
-  // bit-identical to the serial one.  The serial path keeps only the
-  // running best; the parallel path holds all attempts until the scan.
-  AttemptOutcome winner;
-  int best_attempt = 0;
-
+  // The attempts fan out on the context (inline when it has at most one
+  // slot: a serial context, threads == 1, or a single attempt), and the
+  // winner is picked by scanning them in index order, so for a fixed seed
+  // the result is bit-identical at every thread count.
   OMN_TRACE_SPAN("designer.rounding");
+  inst.freeze();  // attempts read its lazy indexes concurrently
   const std::size_t cap =
       config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 0;
-  if (attempts > 1 && cap != 1 && context.concurrency() > 1) {
-    std::vector<AttemptOutcome> outcomes(static_cast<std::size_t>(attempts));
-    context.parallel_for(
-        static_cast<std::size_t>(attempts),
-        [&](std::size_t i) { outcomes[i] = compute_attempt(static_cast<int>(i)); },
-        {.max_parallelism = cap});
-    for (int attempt = 1; attempt < attempts; ++attempt) {
-      if (better_evaluation(
-              outcomes[static_cast<std::size_t>(attempt)].eval,
-              outcomes[static_cast<std::size_t>(best_attempt)].eval)) {
-        best_attempt = attempt;
-      }
-    }
-    winner = std::move(outcomes[static_cast<std::size_t>(best_attempt)]);
-  } else {
-    winner = compute_attempt(0);
-    for (int attempt = 1; attempt < attempts; ++attempt) {
-      AttemptOutcome outcome = compute_attempt(attempt);
-      if (better_evaluation(outcome.eval, winner.eval)) {
-        winner = std::move(outcome);
-        best_attempt = attempt;
-      }
+  std::vector<AttemptOutcome> outcomes(static_cast<std::size_t>(attempts));
+  context.parallel_for(
+      static_cast<std::size_t>(attempts),
+      [&](std::size_t i) { outcomes[i] = compute_attempt(static_cast<int>(i)); },
+      {.max_parallelism = cap});
+  int best_attempt = 0;
+  for (int attempt = 1; attempt < attempts; ++attempt) {
+    if (better_evaluation(
+            outcomes[static_cast<std::size_t>(attempt)].eval,
+            outcomes[static_cast<std::size_t>(best_attempt)].eval)) {
+      best_attempt = attempt;
     }
   }
+  AttemptOutcome& winner = outcomes[static_cast<std::size_t>(best_attempt)];
   result.rounding_seconds = rounding_timer.seconds();
 
   result.design = std::move(winner.design);

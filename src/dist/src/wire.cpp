@@ -283,13 +283,7 @@ void encode_report(ByteWriter& w, const core::SweepReport& report) {
   w.u64(report.num_instances);
   w.u64(report.num_configs);
   w.u64(report.lp_configs);
-  w.u64(report.lp_solves);
-  w.u64(report.lp_cache_hits);
-  w.u64(report.lp_cache_misses);
-  w.u64(report.lp_iterations);
-  w.u64(report.lp_phase1_iterations);
-  w.u64(report.lp_refactorizations);
-  w.u64(report.lp_warm_start_hits);
+  report.lp.encode(w);
   w.f64(report.wall_seconds);
   w.f64(report.cpu_seconds);
   w.u64(report.cells.size());
@@ -307,30 +301,14 @@ bool decode_report(ByteReader& r, core::SweepReport& report) {
   std::uint64_t num_instances = 0;
   std::uint64_t num_configs = 0;
   std::uint64_t lp_configs = 0;
-  std::uint64_t lp_solves = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t iterations = 0;
-  std::uint64_t phase1_iterations = 0;
-  std::uint64_t refactorizations = 0;
-  std::uint64_t warm_hits = 0;
   if (!(r.u64(num_instances) && r.u64(num_configs) && r.u64(lp_configs) &&
-        r.u64(lp_solves) && r.u64(hits) && r.u64(misses) &&
-        r.u64(iterations) && r.u64(phase1_iterations) &&
-        r.u64(refactorizations) && r.u64(warm_hits) &&
-        r.f64(report.wall_seconds) && r.f64(report.cpu_seconds))) {
+        report.lp.decode(r) && r.f64(report.wall_seconds) &&
+        r.f64(report.cpu_seconds))) {
     return false;
   }
   report.num_instances = static_cast<std::size_t>(num_instances);
   report.num_configs = static_cast<std::size_t>(num_configs);
   report.lp_configs = static_cast<std::size_t>(lp_configs);
-  report.lp_solves = static_cast<std::size_t>(lp_solves);
-  report.lp_cache_hits = static_cast<std::size_t>(hits);
-  report.lp_cache_misses = static_cast<std::size_t>(misses);
-  report.lp_iterations = static_cast<std::size_t>(iterations);
-  report.lp_phase1_iterations = static_cast<std::size_t>(phase1_iterations);
-  report.lp_refactorizations = static_cast<std::size_t>(refactorizations);
-  report.lp_warm_start_hits = static_cast<std::size_t>(warm_hits);
   std::uint64_t count = 0;
   // A cell is at least: two u64 indices, two str lengths, seconds, and
   // the result's fixed fields — bound the count well before allocating.

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "omn/core/design_state.hpp"
+#include "omn/core/lp_work.hpp"
 #include "omn/serve/event.hpp"
 #include "omn/serve/journal.hpp"
 #include "omn/util/json.hpp"
@@ -53,8 +54,8 @@ namespace omn::serve {
 
 /// Applies one mutation event to a DesignState (throws
 /// std::invalid_argument on a protocol violation, std::logic_error for
-/// non-mutations).  Shared by ServeSession, the churn bench, and the
-/// differential tests so "what an event means" has exactly one home.
+/// non-mutations).  Shared by ServeSession and the differential tests so
+/// "what an event means" has exactly one home.
 void apply_event(core::DesignState& state, const Event& event);
 
 struct ServeOptions {
@@ -72,16 +73,17 @@ struct ServeStats {
   std::size_t parse_errors = 0;
   std::size_t apply_errors = 0;
   std::size_t snapshots = 0;
-  // Work counters, summed over redesigns; LP cache hits contribute zero
-  // pivots (no simplex ran), mirroring the DesignSweep convention.
-  std::size_t lp_iterations = 0;
-  std::size_t lp_phase1_iterations = 0;
-  std::size_t lp_refactorizations = 0;
-  std::size_t lp_warm_start_hits = 0;
-  std::size_t lp_cache_hits = 0;
+  /// LP work summed over redesigns (core::LpWork's rule, as in sweeps).
+  core::LpWork lp;
   /// Wall seconds of each redesign, in order (p50/p99 in the metrics).
   std::vector<double> redesign_seconds;
 };
+
+/// One redesign-loop metrics record: `label`, events, redesigns, the LP
+/// work (LpWork::Keys::kSession), redesign_wall_p50/p99 and the summed
+/// wall_seconds.  E15 records one per churn variant; metrics_json() adds
+/// the session-only counters (replayed, parse/apply errors, snapshots).
+util::Json to_json(const ServeStats& stats, std::string label);
 
 class ServeSession {
  public:
@@ -132,8 +134,12 @@ class ServeSession {
   JournalHeader current_header() const;
   /// The `ok <seq> stats ...` live-counter response.
   std::string stats_line() const;
-  /// Applies + redesigns one mutation, updating the work counters.
+  /// Applies one mutation, then redesign(&event).
   const core::DesignResult& apply_and_redesign(const Event& event);
+  /// Redesigns the current state and accounts the run in stats_: one
+  /// redesign, its wall time and its LP work.  `event` is the mutation
+  /// that triggered it, or nullptr for the initial design.
+  const core::DesignResult& redesign(const Event* event);
   std::string ack_mutation(const Event& event,
                            const core::DesignResult& result,
                            double wall_seconds) const;

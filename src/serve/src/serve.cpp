@@ -2,8 +2,10 @@
 
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
+#include "omn/core/lp_cache.hpp"
 #include "omn/net/serialize.hpp"
 #include "omn/util/stats.hpp"
 #include "omn/util/table.hpp"
@@ -11,16 +13,6 @@
 #include "omn/util/trace.hpp"
 
 namespace omn::serve {
-
-namespace {
-
-double sum(const std::vector<double>& values) {
-  double total = 0.0;
-  for (double v : values) total += v;
-  return total;
-}
-
-}  // namespace
 
 void apply_event(core::DesignState& state, const Event& event) {
   switch (event.kind) {
@@ -59,26 +51,7 @@ ServeSession::ServeSession(net::OverlayInstance base, ServeOptions options,
                            util::ExecutionContext context, bool fresh_journal)
     : options_(std::move(options)),
       state_(std::move(base), options_.config, std::move(context)) {
-  const util::Timer redesign_timer;
-  const core::DesignResult* result_ptr = nullptr;
-  {
-    OMN_TRACE_SPAN("serve.initial_design");
-    result_ptr = &state_.redesign();
-  }
-  const core::DesignResult& result = *result_ptr;
-  ++stats_.redesigns;
-  OMN_COUNTER_ADD("serve.redesigns", 1);
-  stats_.redesign_seconds.push_back(redesign_timer.seconds());
-  if (result.lp_cache_hit) {
-    ++stats_.lp_cache_hits;
-  } else {
-    stats_.lp_iterations += static_cast<std::size_t>(result.lp_iterations);
-    stats_.lp_phase1_iterations +=
-        static_cast<std::size_t>(result.lp_phase1_iterations);
-    stats_.lp_refactorizations +=
-        static_cast<std::size_t>(result.lp_refactorizations);
-  }
-  if (result.lp_warm_start) ++stats_.lp_warm_start_hits;
+  (void)redesign(nullptr);
   if (fresh_journal && !options_.journal_path.empty()) {
     journal_ = Journal::rewrite(options_.journal_path, current_header(), {});
   }
@@ -125,27 +98,25 @@ const core::DesignResult& ServeSession::apply_and_redesign(
   apply_event(state_, event);
   ++stats_.events;
   OMN_COUNTER_ADD("serve.events", 1);
+  return redesign(&event);
+}
+
+const core::DesignResult& ServeSession::redesign(const Event* event) {
   const util::Timer redesign_timer;
-  const core::DesignResult* result_ptr = nullptr;
+  const core::DesignResult* result = nullptr;
   {
-    OMN_TRACE_SPAN([&] { return "serve.redesign " + to_string(event.kind); });
-    result_ptr = &state_.redesign();
+    OMN_TRACE_SPAN([&] {
+      return event == nullptr ? std::string("serve.initial_design")
+                              : "serve.redesign " + to_string(event->kind);
+    });
+    result = &state_.redesign();
   }
-  const core::DesignResult& result = *result_ptr;
   ++stats_.redesigns;
   OMN_COUNTER_ADD("serve.redesigns", 1);
   stats_.redesign_seconds.push_back(redesign_timer.seconds());
-  if (result.lp_cache_hit) {
-    ++stats_.lp_cache_hits;
-  } else {
-    stats_.lp_iterations += static_cast<std::size_t>(result.lp_iterations);
-    stats_.lp_phase1_iterations +=
-        static_cast<std::size_t>(result.lp_phase1_iterations);
-    stats_.lp_refactorizations +=
-        static_cast<std::size_t>(result.lp_refactorizations);
-  }
-  if (result.lp_warm_start) ++stats_.lp_warm_start_hits;
-  return result;
+  stats_.lp += core::LpWork::of(
+      *result, state_.context().find_service<core::LpCache>() != nullptr);
+  return *result;
 }
 
 std::string ServeSession::ack_mutation(const Event& event,
@@ -169,9 +140,9 @@ std::string ServeSession::stats_line() const {
          std::to_string(stats_.events) +
          " redesigns=" + std::to_string(stats_.redesigns) +
          " replayed=" + std::to_string(stats_.replayed) +
-         " pivots=" + std::to_string(stats_.lp_iterations) +
-         " refactorizations=" + std::to_string(stats_.lp_refactorizations) +
-         " warm_hits=" + std::to_string(stats_.lp_warm_start_hits) +
+         " pivots=" + std::to_string(stats_.lp.iterations) +
+         " refactorizations=" + std::to_string(stats_.lp.refactorizations) +
+         " warm_hits=" + std::to_string(stats_.lp.warm_start_hits) +
          " cache_hits=" + std::to_string(util::counter_value("cache.hits")) +
          " cache_misses=" +
          std::to_string(util::counter_value("cache.misses")) +
@@ -261,25 +232,28 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
   return 0;
 }
 
-util::Json ServeSession::metrics_json() const {
+util::Json to_json(const ServeStats& stats, std::string label) {
   util::Json record = util::Json::object();
-  record.set("label", "serve");
-  record.set("events", stats_.events);
-  record.set("redesigns", stats_.redesigns);
+  record.set("label", std::move(label));
+  record.set("events", stats.events);
+  record.set("redesigns", stats.redesigns);
+  stats.lp.write_json(record, core::LpWork::Keys::kSession);
+  record.set("redesign_wall_p50",
+             util::percentile(stats.redesign_seconds, 0.50));
+  record.set("redesign_wall_p99",
+             util::percentile(stats.redesign_seconds, 0.99));
+  record.set("wall_seconds",
+             std::accumulate(stats.redesign_seconds.begin(),
+                             stats.redesign_seconds.end(), 0.0));
+  return record;
+}
+
+util::Json ServeSession::metrics_json() const {
+  util::Json record = to_json(stats_, "serve");
   record.set("replayed", stats_.replayed);
   record.set("parse_errors", stats_.parse_errors);
   record.set("apply_errors", stats_.apply_errors);
   record.set("snapshots", stats_.snapshots);
-  record.set("lp_iterations", stats_.lp_iterations);
-  record.set("lp_phase1_iterations", stats_.lp_phase1_iterations);
-  record.set("lp_refactorizations", stats_.lp_refactorizations);
-  record.set("lp_warm_start_hits", stats_.lp_warm_start_hits);
-  record.set("lp_cache_hits", stats_.lp_cache_hits);
-  record.set("redesign_wall_p50",
-             util::percentile(stats_.redesign_seconds, 0.50));
-  record.set("redesign_wall_p99",
-             util::percentile(stats_.redesign_seconds, 0.99));
-  record.set("wall_seconds", sum(stats_.redesign_seconds));
 
   util::Json envelope = util::Json::object();
   envelope.set("schema", "omn-metrics-v1");

@@ -102,7 +102,7 @@ class ExecutionContext {
   static std::size_t chunk_count(std::size_t count, std::size_t width);
 
   /// The wrapped pool, or nullptr for a serial context.  Exposed for
-  /// callers that need submit()/async()/parallel_map() directly.
+  /// callers that need submit()/wait_idle() directly.
   ThreadPool* pool() const { return pool_.get(); }
 
   // ---- shared services ----------------------------------------------------

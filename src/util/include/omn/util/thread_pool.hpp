@@ -17,19 +17,15 @@
 //    and help-runs queued tasks while it waits, which also makes nested
 //    parallel_for deadlock-free on a saturated pool;
 //  - task exceptions are captured and rethrown to the waiter
-//    (parallel_for / wait_idle / the future), never std::terminate;
+//    (parallel_for / wait_idle), never std::terminate;
 //  - the pool degrades gracefully to inline execution when hardware
 //    concurrency is 1 (as on single-core CI machines).
 
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <queue>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "omn/util/thread_annotations.hpp"
@@ -73,31 +69,6 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t begin, std::size_t end,
                                              std::size_t chunk)>& body);
-
-  /// Schedules fn() on the pool and returns its future.  Exceptions thrown
-  /// by fn propagate through future::get().
-  template <typename Fn>
-  auto async(Fn fn) -> std::future<std::invoke_result_t<Fn&>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    submit([task] { (*task)(); });
-    return future;
-  }
-
-  /// parallel_map: schedules fn(i) for every i in [0, count) and returns
-  /// one future per element, in index order.
-  template <typename Fn>
-  auto parallel_map(std::size_t count, Fn fn)
-      -> std::vector<std::future<std::invoke_result_t<Fn&, std::size_t>>> {
-    using R = std::invoke_result_t<Fn&, std::size_t>;
-    std::vector<std::future<R>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(async([fn, i]() mutable { return fn(i); }));
-    }
-    return futures;
-  }
 
  private:
   /// Per-parallel_for completion state; lives on the waiter's stack.  Its

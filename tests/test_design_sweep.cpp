@@ -16,6 +16,7 @@ namespace {
 
 using omn::core::DesignerConfig;
 using omn::core::DesignSweep;
+using omn::core::LpWork;
 using omn::core::SweepOptions;
 using omn::core::SweepReport;
 
@@ -110,7 +111,7 @@ TEST(DesignSweep, EmptyGridIsEmptyReport) {
   EXPECT_TRUE(report.cells.empty());
   EXPECT_EQ(report.num_instances, 0u);
   EXPECT_EQ(report.num_configs, 0u);
-  EXPECT_EQ(report.lp_solves, 0u);
+  EXPECT_EQ(report.lp.solves, 0u);
 }
 
 // The acceptance shape of the LP-reuse planner: 1 instance × k configs
@@ -131,7 +132,7 @@ TEST(DesignSweep, RoundingOnlyGridPerformsExactlyOneLpSolve) {
   }
   const SweepReport report = sweep.run();
   EXPECT_EQ(report.lp_configs, 1u);
-  EXPECT_EQ(report.lp_solves, 1u);
+  EXPECT_EQ(report.lp.solves, 1u);
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.result.ok()) << cell.config_label;
   }
@@ -163,12 +164,29 @@ TEST(DesignSweep, LpSolveCountEqualsInstancesTimesDistinctLpConfigs) {
 
   const SweepReport grouped = sweep.run();
   EXPECT_EQ(grouped.lp_configs, 3u);  // {base, reseeded} | {no-cut} | {tight}
-  EXPECT_EQ(grouped.lp_solves, 2u * 3u);
+  EXPECT_EQ(grouped.lp.solves, 2u * 3u);
 
   SweepOptions ungrouped;
   ungrouped.reuse_lp = false;
   const SweepReport per_cell = sweep.run(ungrouped);
-  EXPECT_EQ(per_cell.lp_solves, sweep.num_cells());
+  EXPECT_EQ(per_cell.lp.solves, sweep.num_cells());
+
+  // Both paths' LP work is the per-solve LpWork sum: every cell of the
+  // ungrouped run, one representative cell per (instance, group) of the
+  // grouped run (cells carry their shared solve's counters).
+  LpWork per_solve;
+  LpWork every_cell;
+  for (std::size_t i = 0; i < sweep.num_instances(); ++i) {
+    for (std::size_t c : {0u, 2u, 3u}) {
+      per_solve += LpWork::of(grouped.cell(i, c).result, false);
+    }
+    for (std::size_t c = 0; c < sweep.num_configs(); ++c) {
+      every_cell += LpWork::of(per_cell.cell(i, c).result, false);
+    }
+  }
+  EXPECT_GT(per_solve.iterations, 0u);
+  EXPECT_EQ(grouped.lp, per_solve);
+  EXPECT_EQ(per_cell.lp, every_cell);
 }
 
 // Grouped (shared-LP) and ungrouped (per-cell LP) sweeps must produce
@@ -183,7 +201,7 @@ TEST(DesignSweep, GroupedMatchesUngroupedBitForBit) {
   ungrouped.reuse_lp = false;
   const SweepReport a = sweep.run(grouped);
   const SweepReport b = sweep.run(ungrouped);
-  EXPECT_LT(a.lp_solves, b.lp_solves);
+  EXPECT_LT(a.lp.solves, b.lp.solves);
   expect_reports_bit_identical(a, b);
 }
 
@@ -239,7 +257,7 @@ TEST(DesignSweep, RangeReportCarriesGlobalIndicesAndRangeCounters) {
   // groups, so the range solves each once FOR INSTANCE 1 ONLY — two
   // solves, not the full run's 2 instances x 2 groups = 4.
   EXPECT_EQ(part.lp_configs, 2u);
-  EXPECT_EQ(part.lp_solves, 2u);
+  EXPECT_EQ(part.lp.solves, 2u);
   EXPECT_EQ(part.cpu_seconds, part.wall_seconds);
   EXPECT_THROW(sweep.run_range(4, 7, {}, context), std::out_of_range);
   EXPECT_THROW(sweep.run_range(5, 4, {}, context), std::out_of_range);
@@ -260,9 +278,9 @@ TEST(SweepReport, MergeAggregatesCountersWallMaxAndCpuSum) {
   shard_a.cells[0].config_index = 1;
   shard_a.cells[0].config_label = "right";
   shard_a.lp_configs = 2;
-  shard_a.lp_solves = 3;
-  shard_a.lp_cache_hits = 1;
-  shard_a.lp_cache_misses = 3;
+  shard_a.lp.solves = 3;
+  shard_a.lp.cache_hits = 1;
+  shard_a.lp.cache_misses = 3;
   shard_a.wall_seconds = 2.0;
   shard_a.cpu_seconds = 2.0;
 
@@ -274,7 +292,7 @@ TEST(SweepReport, MergeAggregatesCountersWallMaxAndCpuSum) {
   shard_b.cells[0].config_index = 0;
   shard_b.cells[0].config_label = "left";
   shard_b.lp_configs = 2;
-  shard_b.lp_solves = 1;
+  shard_b.lp.solves = 1;
   shard_b.wall_seconds = 5.0;
   shard_b.cpu_seconds = 5.0;
 
@@ -284,9 +302,9 @@ TEST(SweepReport, MergeAggregatesCountersWallMaxAndCpuSum) {
   EXPECT_EQ(merged.cells[0].config_label, "left");
   EXPECT_EQ(merged.cells[1].config_label, "right");
   EXPECT_EQ(merged.lp_configs, 2u);
-  EXPECT_EQ(merged.lp_solves, 4u);
-  EXPECT_EQ(merged.lp_cache_hits, 1u);
-  EXPECT_EQ(merged.lp_cache_misses, 3u);
+  EXPECT_EQ(merged.lp.solves, 4u);
+  EXPECT_EQ(merged.lp.cache_hits, 1u);
+  EXPECT_EQ(merged.lp.cache_misses, 3u);
   // Concurrent shards: wall is the slowest shard, cpu the total machine
   // time across both.
   EXPECT_DOUBLE_EQ(merged.wall_seconds, 5.0);

@@ -438,7 +438,7 @@ TEST(DistWire, ResultRoundTripsBitExactly) {
   EXPECT_EQ(decoded.shard_index, 2u);
   EXPECT_EQ(decoded.report.num_instances, result.report.num_instances);
   EXPECT_EQ(decoded.report.num_configs, result.report.num_configs);
-  EXPECT_EQ(decoded.report.lp_solves, result.report.lp_solves);
+  EXPECT_EQ(decoded.report.lp, result.report.lp);
   EXPECT_EQ(bits(decoded.report.wall_seconds),
             bits(result.report.wall_seconds));
   EXPECT_EQ(bits(decoded.report.cpu_seconds), bits(result.report.cpu_seconds));

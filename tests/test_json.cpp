@@ -15,7 +15,10 @@
 
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/designer.hpp"
+#include "omn/core/lp_work.hpp"
 #include "omn/dist/dist_sweep.hpp"
+#include "omn/lp/simplex.hpp"
+#include "omn/serve/serve.hpp"
 #include "omn/util/json.hpp"
 #include "omn/util/parse.hpp"
 
@@ -148,13 +151,13 @@ TEST(MetricsSchema, SweepReportGolden) {
   report.num_instances = 3;
   report.num_configs = 4;
   report.lp_configs = 2;
-  report.lp_solves = 5;
-  report.lp_cache_hits = 1;
-  report.lp_cache_misses = 5;
-  report.lp_iterations = 420;
-  report.lp_phase1_iterations = 130;
-  report.lp_refactorizations = 7;
-  report.lp_warm_start_hits = 2;
+  report.lp.solves = 5;
+  report.lp.cache_hits = 1;
+  report.lp.cache_misses = 5;
+  report.lp.iterations = 420;
+  report.lp.phase1_iterations = 130;
+  report.lp.refactorizations = 7;
+  report.lp.warm_start_hits = 2;
   report.wall_seconds = 1.5;
   report.cpu_seconds = 3.0;
   EXPECT_EQ(omn::core::to_json(report).dump(),
@@ -165,14 +168,58 @@ TEST(MetricsSchema, SweepReportGolden) {
             "\"saved_by_reuse\":6,\"wall_seconds\":1.5,\"cpu_seconds\":3.0}");
 }
 
+// The redesign-loop record serve's --metrics and E15 share: the LP work
+// goes under LpWork's session keys (no solve/miss counts, cache hits
+// last), which BENCH_e15.json pins.
+TEST(MetricsSchema, ServeStatsGolden) {
+  omn::serve::ServeStats stats;
+  stats.events = 3;
+  stats.redesigns = 4;
+  stats.lp.solves = 3;
+  stats.lp.cache_hits = 1;
+  stats.lp.cache_misses = 3;
+  stats.lp.iterations = 90;
+  stats.lp.phase1_iterations = 20;
+  stats.lp.refactorizations = 2;
+  stats.lp.warm_start_hits = 2;
+  stats.redesign_seconds = {0.5};
+  EXPECT_EQ(omn::serve::to_json(stats, "churn/16/warm").dump(),
+            "{\"label\":\"churn/16/warm\",\"events\":3,\"redesigns\":4,"
+            "\"lp_iterations\":90,\"lp_phase1_iterations\":20,"
+            "\"lp_refactorizations\":2,\"lp_warm_start_hits\":2,"
+            "\"lp_cache_hits\":1,\"redesign_wall_p50\":0.5,"
+            "\"redesign_wall_p99\":0.5,\"wall_seconds\":0.5}");
+}
+
+// LpWork's accumulation rule: a cache hit adds no pivots, a solve adds
+// its pivots (and a miss when a cache was consulted), and a warm-started
+// solution counts a warm hit either way.
+TEST(MetricsSchema, LpWorkAccumulationRule) {
+  omn::lp::Solution solution;
+  solution.iterations = 40;
+  solution.phase1_iterations = 10;
+  solution.refactorizations = 2;
+  solution.warm_started = true;
+  omn::core::LpWork work = omn::core::LpWork::of(solution, false, true);
+  work += omn::core::LpWork::of(solution, true, true);
+  work += omn::core::LpWork::of(solution, false, false);
+  EXPECT_EQ(work.solves, 2u);
+  EXPECT_EQ(work.cache_hits, 1u);
+  EXPECT_EQ(work.cache_misses, 1u);
+  EXPECT_EQ(work.iterations, 80u);
+  EXPECT_EQ(work.phase1_iterations, 20u);
+  EXPECT_EQ(work.refactorizations, 4u);
+  EXPECT_EQ(work.warm_start_hits, 3u);
+}
+
 TEST(MetricsSchema, SavedByReuseClampsAtZero) {
   // reuse off, no cache: every cell solves, nothing saved — the
   // subtraction must not wrap.
   omn::core::SweepReport report;
   report.cells.resize(4);
-  report.lp_solves = 4;
+  report.lp.solves = 4;
   EXPECT_EQ(report.saved_by_reuse(), 0u);
-  report.lp_solves = 5;  // merge pathologies must not underflow either
+  report.lp.solves = 5;  // merge pathologies must not underflow either
   EXPECT_EQ(report.saved_by_reuse(), 0u);
 }
 

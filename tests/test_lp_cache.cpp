@@ -383,14 +383,14 @@ TEST(LpCacheSweep, RepeatedSweepPerformsZeroSolvesOnWarmRun) {
 
   const SweepReport cold = sweep.run({}, context);
   EXPECT_EQ(cold.lp_configs, 1u);
-  EXPECT_EQ(cold.lp_solves, 1u);
-  EXPECT_EQ(cold.lp_cache_hits, 0u);
-  EXPECT_EQ(cold.lp_cache_misses, 1u);
+  EXPECT_EQ(cold.lp.solves, 1u);
+  EXPECT_EQ(cold.lp.cache_hits, 0u);
+  EXPECT_EQ(cold.lp.cache_misses, 1u);
 
   const SweepReport warm = sweep.run({}, context);
-  EXPECT_EQ(warm.lp_solves, 0u);
-  EXPECT_EQ(warm.lp_cache_hits, 1u);
-  EXPECT_EQ(warm.lp_cache_misses, 0u);
+  EXPECT_EQ(warm.lp.solves, 0u);
+  EXPECT_EQ(warm.lp.cache_hits, 1u);
+  EXPECT_EQ(warm.lp.cache_misses, 0u);
 
   // And against a no-cache baseline, everything but wall clock matches.
   const SweepReport baseline = sweep.run({}, omn::util::ExecutionContext(2));
@@ -419,12 +419,12 @@ TEST(LpCacheSweep, CacheAppliesToUngroupedSweepsToo) {
   const SweepReport cold = sweep.run(options, context);
   // Ungrouped cells solve independently, so the second cell already hits
   // the first cell's insertion.
-  EXPECT_EQ(cold.lp_solves, 1u);
-  EXPECT_EQ(cold.lp_cache_hits, 1u);
+  EXPECT_EQ(cold.lp.solves, 1u);
+  EXPECT_EQ(cold.lp.cache_hits, 1u);
 
   const SweepReport warm = sweep.run(options, context);
-  EXPECT_EQ(warm.lp_solves, 0u);
-  EXPECT_EQ(warm.lp_cache_hits, 2u);
+  EXPECT_EQ(warm.lp.solves, 0u);
+  EXPECT_EQ(warm.lp.cache_hits, 2u);
 }
 
 TEST(LpCacheSweep, DiskCachePersistsAcrossSweepObjects) {
@@ -440,10 +440,10 @@ TEST(LpCacheSweep, DiskCachePersistsAcrossSweepObjects) {
     return sweep.run({}, context);
   };
   const SweepReport first = run_once();
-  EXPECT_EQ(first.lp_solves, 1u);
+  EXPECT_EQ(first.lp.solves, 1u);
   const SweepReport second = run_once();
-  EXPECT_EQ(second.lp_solves, 0u);
-  EXPECT_EQ(second.lp_cache_hits, 1u);
+  EXPECT_EQ(second.lp.solves, 0u);
+  EXPECT_EQ(second.lp.cache_hits, 1u);
   EXPECT_EQ(second.cell(0, 0).result.design.x, first.cell(0, 0).result.design.x);
 }
 
@@ -551,10 +551,10 @@ TEST(LpCacheSweep, WarmStartConfigReportsWarmHitsAndIterationCounters) {
   omn::util::ExecutionContext context(1);
   context.set_service(std::make_shared<LpCache>());
   const SweepReport report = sweep.run({.threads = 1}, context);
-  EXPECT_EQ(report.lp_solves, 2u);
-  EXPECT_EQ(report.lp_warm_start_hits, 1u);
-  EXPECT_GT(report.lp_iterations, 0u);
-  EXPECT_GT(report.lp_phase1_iterations, 0u);
+  EXPECT_EQ(report.lp.solves, 2u);
+  EXPECT_EQ(report.lp.warm_start_hits, 1u);
+  EXPECT_GT(report.lp.iterations, 0u);
+  EXPECT_GT(report.lp.phase1_iterations, 0u);
   EXPECT_TRUE(report.cell(1, 0).result.lp_warm_start);
   EXPECT_FALSE(report.cell(0, 0).result.lp_warm_start);
 }

@@ -53,6 +53,7 @@ using omn::core::DesignerConfig;
 using omn::core::DesignResult;
 using omn::core::DesignState;
 using omn::core::FailedEdge;
+using omn::core::LpWork;
 using omn::core::OverlayDesigner;
 using omn::serve::Event;
 using omn::serve::EventKind;
@@ -586,6 +587,43 @@ TEST(ServeSession, SpeaksTheLineProtocol) {
   EXPECT_FALSE(session.done());
   EXPECT_EQ(session.handle_line("quit"), "ok 1 bye");
   EXPECT_TRUE(session.done());
+}
+
+// ServeStats' LP totals are LpWork summed over the same redesigns: a
+// journal-less session fed a churn stream line by line reports exactly
+// what a DesignState replay of that stream tallies, with the initial
+// design counted once.
+TEST(ServeSession, StatsLpWorkEqualsDesignStateReplay) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  omn::serve::ChurnConfig churn;
+  churn.seed = 23;
+  const std::vector<Event> events =
+      omn::serve::ChurnGenerator(inst, churn).take(30);
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    DesignerConfig cfg = base_config();
+    cfg.lp_warm_start = warm;
+    ServeSession session(inst, journal_options(cfg, ""),
+                         omn::util::ExecutionContext::serial());
+    // A warm DesignState consults the memory LpCache it installs.
+    DesignState state(inst, cfg, omn::util::ExecutionContext::serial());
+    LpWork replayed = LpWork::of(state.redesign(), warm);
+    for (const Event& event : events) {
+      const std::string ack = session.handle_line(event.to_line());
+      ASSERT_EQ(ack.rfind("ok ", 0), 0u) << event.to_line() << " -> " << ack;
+      omn::serve::apply_event(state, event);
+      replayed += LpWork::of(state.redesign(), warm);
+    }
+    const omn::serve::ServeStats& stats = session.stats();
+    EXPECT_EQ(stats.redesigns, events.size() + 1);
+    EXPECT_EQ(stats.lp.solves + stats.lp.cache_hits, events.size() + 1);
+    EXPECT_GT(stats.lp.iterations, 0u);
+    EXPECT_EQ(stats.lp, replayed);
+    if (warm) {
+      EXPECT_GT(stats.lp.warm_start_hits + stats.lp.cache_hits, 0u);
+    }
+  }
 }
 
 std::string digest_of(const ServeSession& session) {

@@ -219,29 +219,4 @@ TEST(ThreadPool, SubmitAfterStopThrows) {
   pool.stop();  // idempotent
 }
 
-TEST(ThreadPool, AsyncReturnsValue) {
-  ThreadPool pool(2);
-  auto future = pool.async([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, AsyncPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future =
-      pool.async([]() -> int { throw std::runtime_error("async failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // Future-carried exceptions do not leak into wait_idle().
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, ParallelMapReturnsFuturesInOrder) {
-  ThreadPool pool(3);
-  auto futures =
-      pool.parallel_map(16, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(futures.size(), 16u);
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), i * i);
-  }
-}
-
 }  // namespace

@@ -553,7 +553,7 @@ int cmd_sweep(const Args& args) {
                              std::to_string(seeds) + " seeds");
   std::printf("\n%zu cells | %zu LP solves (%zu distinct LP configs) | "
               "%.2fs wall\n",
-              report.cells.size(), report.lp_solves, report.lp_configs,
+              report.cells.size(), report.lp.solves, report.lp_configs,
               report.wall_seconds);
   if (workers > 0) {
     std::printf("distributed: %zu workers x %zu threads, %zu shards "
@@ -562,14 +562,14 @@ int cmd_sweep(const Args& args) {
                 dist_stats.workers_spawned, dist_stats.threads_per_worker,
                 dist_stats.shards_total, dist_stats.shards_computed,
                 dist_stats.shards_from_checkpoint,
-                dist_stats.shards_reassigned, report.lp_cache_hits,
-                report.lp_cache_misses, report.cpu_seconds);
+                dist_stats.shards_reassigned, report.lp.cache_hits,
+                report.lp.cache_misses, report.cpu_seconds);
   }
   if (cache != nullptr) {
     const omn::core::LpCacheStats stats = cache->stats();
     std::printf("lp cache: %zu hits (%zu disk), %zu misses, %zu rejected | "
                 "dir %s\n",
-                report.lp_cache_hits, stats.disk_hits, report.lp_cache_misses,
+                report.lp.cache_hits, stats.disk_hits, report.lp.cache_misses,
                 stats.rejected, cache->directory().c_str());
   }
   const std::string metrics = metrics_path(args);
