@@ -7,9 +7,9 @@
 // LPs (topo::make_uniform_random -> core::build_overlay_lp), isolating the
 // kernel from rounding and evaluation:
 //
-//   dense        Algorithm::kDenseTableau (the differential oracle)
-//   rev-dantzig  Algorithm::kRevised + Pricing::kDantzig
-//   rev-se       Algorithm::kRevised + Pricing::kSteepestEdge (default)
+//   dense        lp::solve_dense_reference (the differential reference)
+//   rev-dantzig  SimplexSolver + Pricing::kDantzig
+//   rev-se       SimplexSolver + Pricing::kSteepestEdge (default)
 //   resolve-cold the rev-se model with costs perturbed +-3%, solved cold
 //   resolve-warm the same perturbed model warm-started from the unperturbed
 //                optimal basis (Solution::basis -> warm_start_basis)
@@ -31,6 +31,7 @@
 // 2: the kernel runs single-threaded, uncached solves by construction.
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,18 @@ struct Timed {
   double wall_seconds = 0.0;
 };
 
-Timed solve_timed(const omn::lp::Model& model,
-                  const omn::lp::SolveOptions& options) {
+Timed time_solve(const std::function<omn::lp::Solution()>& solve) {
   Timed timed;
   const omn::util::Timer timer;
-  timed.solution = omn::lp::SimplexSolver().solve(model, options);
+  timed.solution = solve();
   timed.wall_seconds = timer.seconds();
   return timed;
+}
+
+Timed solve_timed(const omn::lp::Model& model,
+                  const omn::lp::SolveOptions& options) {
+  return time_solve(
+      [&] { return omn::lp::SimplexSolver().solve(model, options); });
 }
 
 /// Deterministic +-3% objective perturbation (same recipe as the warm-start
@@ -103,13 +109,12 @@ int main(int argc, char** argv) {
     const auto inst = topo::make_uniform_random(topo_cfg);
     const core::OverlayLp lp = core::build_overlay_lp(inst);
 
-    lp::SolveOptions dense_opts;
-    dense_opts.algorithm = lp::Algorithm::kDenseTableau;
     lp::SolveOptions dantzig_opts;
     dantzig_opts.pricing = lp::Pricing::kDantzig;
     const lp::SolveOptions se_opts;  // the defaults: revised + steepest edge
 
-    const Timed dense = solve_timed(lp.model, dense_opts);
+    const Timed dense =
+        time_solve([&] { return lp::solve_dense_reference(lp.model); });
     const Timed dantzig = solve_timed(lp.model, dantzig_opts);
     const Timed se = solve_timed(lp.model, se_opts);
 

@@ -14,9 +14,19 @@
 // The planner groups configs by their exact (LpBuildOptions, SolveOptions)
 // key, solves each distinct LP once per instance, and fans the rounding
 // cells out via design_from_lp — so an E8-style grid (one instance × k
-// rounding-only configs) performs exactly one LP solve.  Because the LP
-// build and the simplex solve are deterministic, the grouped report is
-// bit-identical to the ungrouped one in everything but wall-clock fields.
+// rounding-only configs) performs exactly one LP solve.  The planner is
+// the only sweep path.  Because the LP build and the simplex solve are
+// deterministic, every cell is bit-identical to
+// OverlayDesigner(config).design(instance) in everything but wall-clock
+// fields.
+//
+// A sweep is cold by contract: add_config rejects a config that asks for
+// an LP warm start (DesignerConfig::lp_warm_start, or a warm_start_basis
+// in its LP options).  A warm start depends on which solve ran
+// before it, and a sweep's solves run in parallel in no fixed order, so
+// its counters (and possibly its optimal vertices) would vary with the
+// thread count.  Warm starts belong to callers that own one basis over
+// time (core::DesignState, `omn_design serve --warm-start`).
 //
 // LP cache: when a core::LpCache service is installed on the execution
 // context (context.set_service(...)), the planner consults it before
@@ -71,11 +81,6 @@ struct SweepOptions {
   /// so Monte Carlo draws are independent across the instance axis (the
   /// usual per-seed experiment shape, e.g. E12).
   bool reseed_per_instance = false;
-  /// Solve each distinct LP once per instance and share it across the
-  /// configs that only differ in rounding knobs.  Disabling re-solves the
-  /// LP per cell; the report is bit-identical either way (timing fields
-  /// excepted) — the knob exists for measurement and tests.
-  bool reuse_lp = true;
 };
 
 struct SweepReport {
@@ -87,8 +92,7 @@ struct SweepReport {
   /// (groups of configs differing only in rounding knobs).
   std::size_t lp_configs = 0;
   /// LP work over the sweep's solves (see LpWork for the rule).
-  /// lp.solves is num_instances * lp_configs when the planner reused
-  /// solves (num_cells with reuse_lp off), minus the LPs the cache served;
+  /// lp.solves is num_instances * lp_configs, minus the LPs the cache served;
   /// a fully warm cache makes it 0.  Cache hits + misses equal the
   /// planner's distinct (instance, LP config) LPs when a core::LpCache
   /// service is installed on the execution context, and both stay 0
@@ -119,7 +123,7 @@ struct SweepReport {
   /// the shard's dimensions disagree or a cell indexes outside the grid.
   void merge(const SweepReport& shard);
 
-  /// Cells whose LP solve was shared (reuse planner) or served from the
+  /// Cells whose LP solve was shared (LP-reuse planner) or served from the
   /// cache instead of running the simplex: cells - lp.solves -
   /// lp.cache_hits, clamped at 0.  The quantity every summary line and
   /// metrics file reports — defined once here.
@@ -137,6 +141,9 @@ util::Json to_json(const SweepReport& report);
 class DesignSweep {
  public:
   DesignSweep& add_instance(std::string label, net::OverlayInstance instance);
+  /// Throws std::invalid_argument when `config` asks for an LP warm start
+  /// (lp_warm_start, or a warm_start_basis in lp_options or
+  /// color_options.lp_options): a sweep is cold by contract.
   DesignSweep& add_config(std::string label, DesignerConfig config);
 
   std::size_t num_instances() const { return instances_.size(); }
@@ -163,7 +170,7 @@ class DesignSweep {
 
   /// Runs the full instance × config grid and returns the result table.
   /// The report is identical (timing fields excepted) for every thread
-  /// count, execution context, and reuse_lp setting.  The overload without
+  /// count and execution context.  The overload without
   /// a context uses ExecutionContext::global() (or runs inline for
   /// threads == 1); pass a caller-owned context to share its pool instead.
   SweepReport run(const SweepOptions& options = {}) const;

@@ -60,7 +60,9 @@ struct DesignerConfig {
   /// same-shaped instance (needs an LpCache service on the context).  Off
   /// by default: a warm-started solve can land on a different optimal
   /// vertex, which breaks the bit-identity guarantees (serial vs parallel,
-  /// cache on/off) — opt in only when iteration speed matters more.
+  /// cache on/off) — opt in only when iteration speed matters more, and
+  /// only where one caller owns the basis over time (core::DesignState).
+  /// DesignSweep::add_config rejects configs with this set.
   bool lp_warm_start = false;
   lp::SolveOptions lp_options;
   ColorRoundingOptions color_options;

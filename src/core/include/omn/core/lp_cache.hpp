@@ -58,8 +58,10 @@
 // off by default at every call site because a warm-started solve may
 // return a *different optimal vertex* than a cold one, which would break
 // the bit-identity guarantees (serial vs parallel, cache on/off,
-// distributed vs serial) the rest of the stack advertises; callers opt in
-// per run via DesignerConfig::lp_warm_start / --warm-start.
+// distributed vs serial) the rest of the stack advertises.  Only a basis
+// with one owner over time opts in: OverlayDesigner::design with
+// DesignerConfig::lp_warm_start, i.e. core::DesignState and
+// `omn_design serve --warm-start`.  DesignSweep rejects warm configs.
 
 #include <cstdint>
 #include <iosfwd>
@@ -188,7 +190,8 @@ struct CachedLp {
 
 /// `cache` may be nullptr (plain build + solve).  This is the single entry
 /// point both OverlayDesigner and DesignSweep use, so the key derivation
-/// can never diverge between layers.
+/// can never diverge between layers (the sweep always passes
+/// warm_start = false).
 ///
 /// With `warm_start` set (and a cache), a byte-cache miss consults the
 /// cache's shape index for a basis from a same-shaped instance and solves

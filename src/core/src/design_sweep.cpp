@@ -20,6 +20,11 @@ DesignSweep& DesignSweep::add_instance(std::string label,
 }
 
 DesignSweep& DesignSweep::add_config(std::string label, DesignerConfig config) {
+  if (config.lp_warm_start || config.lp_options.warm_start_basis.has_value() ||
+      config.color_options.lp_options.warm_start_basis.has_value()) {
+    throw std::invalid_argument("DesignSweep::add_config: config '" + label +
+                                "' asks for an LP warm start; sweeps are cold");
+  }
   configs_.emplace_back(std::move(label), std::move(config));
   return *this;
 }
@@ -107,17 +112,13 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
   struct LpKey {
     LpBuildOptions build;
     lp::SolveOptions solve;
-    // Warm starting changes which optimal vertex the solve can return, so
-    // warm and cold configs must not share a solve.
-    bool warm_start = false;
     bool operator==(const LpKey&) const = default;
   };
   std::vector<LpKey> groups;
   std::vector<std::size_t> group_of_config(configs_.size(), 0);
   for (std::size_t c = 0; c < configs_.size(); ++c) {
     const LpKey key{lp_build_options(configs_[c].second),
-                    configs_[c].second.lp_options,
-                    configs_[c].second.lp_warm_start};
+                    configs_[c].second.lp_options};
     std::size_t g = 0;
     while (g < groups.size() && !(groups[g] == key)) ++g;
     if (g == groups.size()) groups.push_back(key);
@@ -130,60 +131,9 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
     return report;
   }
 
-  const auto config_for_cell = [&](std::size_t i, std::size_t c) {
-    DesignerConfig config = configs_[c].second;
-    if (options.reseed_per_instance) {
-      config.seed += static_cast<std::uint64_t>(i);
-    }
-    // An explicit sweep-level cap is a budget on TOTAL threads, so nested
-    // rounding attempts must not fan out past it: grid claimants are
-    // bounded by max_parallelism, and each cell runs its attempts inline.
-    // Uncapped sweeps (threads == 0) share the context's pool at both
-    // levels — one pool, work-stealing, no oversubscription.  The design
-    // is bit-identical either way.
-    if (options.threads != 0) config.threads = 1;
-    return config;
-  };
-  const auto fill_cell_labels = [&](std::size_t index) -> SweepCell& {
-    SweepCell& cell = report.cells[index - begin];
-    cell.instance_index = index / configs_.size();
-    cell.config_index = index % configs_.size();
-    cell.instance_label = instances_[cell.instance_index].first;
-    cell.config_label = configs_[cell.config_index].first;
-    return cell;
-  };
-
-  // The cross-run LP cache, when the caller installed one on the context.
-  // Both paths route their solves through solve_overlay_lp_cached, so a
-  // warm cache removes every simplex run from the sweep.
+  // The cross-run LP cache, when the caller installed one on the context:
+  // a warm cache removes every simplex run from the sweep.
   const std::shared_ptr<LpCache> cache = context.find_service<LpCache>();
-
-  if (!options.reuse_lp) {
-    // Ungrouped: every cell builds and solves its own LP (the pre-planner
-    // behaviour, kept for measurement and bit-identity tests).  The
-    // designer consults the context's cache itself; the per-cell outcome
-    // lands in result.lp_cache_hit, tallied after the join.
-    context.parallel_for(
-        count,
-        [&](std::size_t t) {
-          SweepCell& cell = fill_cell_labels(begin + t);
-          OMN_TRACE_SPAN(
-              [&] { return "sweep.cell " + std::to_string(begin + t); });
-          const DesignerConfig config =
-              config_for_cell(cell.instance_index, cell.config_index);
-          util::Timer cell_timer;
-          cell.result = OverlayDesigner(config).design(
-              instances_[cell.instance_index].second, context);
-          cell.seconds = cell_timer.seconds();
-        },
-        fan);
-    for (const SweepCell& cell : report.cells) {
-      report.lp += LpWork::of(cell.result, cache != nullptr);
-    }
-    report.wall_seconds = wall.seconds();
-    report.cpu_seconds = report.wall_seconds;
-    return report;
-  }
 
   // Phase 1: one LP build per (instance, distinct LP config) PAIR THE
   // RANGE ACTUALLY TOUCHES, with the solve served from the cache when
@@ -228,7 +178,7 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
         SolvedLp& s = solved[t];
         CachedLp cached = solve_overlay_lp_cached(
             instances_[i].second, groups[g].build, groups[g].solve,
-            cache.get(), groups[g].warm_start);
+            cache.get());
         s.lp = std::move(cached.lp);
         s.solution = std::move(cached.solution);
         s.cache_hit = cached.cache_hit;
@@ -245,12 +195,26 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
   context.parallel_for(
       count,
       [&](std::size_t t) {
-        SweepCell& cell = fill_cell_labels(begin + t);
+        SweepCell& cell = report.cells[t];
+        const std::size_t i = (begin + t) / configs_.size();
+        const std::size_t c = (begin + t) % configs_.size();
+        cell.instance_index = i;
+        cell.config_index = c;
+        cell.instance_label = instances_[i].first;
+        cell.config_label = configs_[c].first;
         OMN_TRACE_SPAN(
             [&] { return "sweep.cell " + std::to_string(begin + t); });
-        const std::size_t i = cell.instance_index;
-        const std::size_t c = cell.config_index;
-        const DesignerConfig config = config_for_cell(i, c);
+        DesignerConfig config = configs_[c].second;
+        if (options.reseed_per_instance) {
+          config.seed += static_cast<std::uint64_t>(i);
+        }
+        // An explicit sweep-level cap is a budget on TOTAL threads, so
+        // nested rounding attempts must not fan out past it: grid claimants
+        // are bounded by max_parallelism, and each cell runs its attempts
+        // inline.  Uncapped sweeps (threads == 0) share the context's pool
+        // at both levels — one pool, work-stealing, no oversubscription.
+        // The design is bit-identical either way.
+        if (options.threads != 0) config.threads = 1;
         const SolvedLp& s =
             solved[solved_index[i * groups.size() + group_of_config[c]]];
         util::Timer cell_timer;

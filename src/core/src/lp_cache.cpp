@@ -40,7 +40,9 @@ void hash_solve_options(util::Hasher& h, const lp::SolveOptions& o) {
   h.f64(o.feasibility_tol);
   h.f64(o.pivot_tol);
   h.i32(o.degenerate_switch);
-  h.u32(static_cast<std::uint32_t>(o.algorithm));
+  // The retired simplex-core selector, hashed as its only value (0 =
+  // revised) so keys, and .lpsol files written before its removal, stay.
+  h.u32(0);
   h.u32(static_cast<std::uint32_t>(o.pricing));
   h.i32(o.refactor_interval);
   // warm_start_basis is deliberately excluded: the starting basis changes

@@ -63,7 +63,7 @@ std::optional<core::SweepReport> load_checkpoint(
 
 // ---- entry (de)serialization, exposed for the format tests --------------
 
-/// Writes one v1 checkpoint entry to `os`.
+/// Writes one checkpoint entry (format kCheckpointVersion) to `os`.
 void write_checkpoint_entry(std::ostream& os, const util::Digest128& digest,
                             const ShardRange& range,
                             const core::SweepReport& report);

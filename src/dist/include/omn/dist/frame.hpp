@@ -2,9 +2,10 @@
 // The distributed sweep wire protocol: versioned, checksummed, length-
 // prefixed binary frames over a byte stream (worker stdin/stdout).
 //
-// Frame format v1 (all fields little-endian; see docs/ARCHITECTURE.md):
+// Frame layout, unchanged since v1 (all fields little-endian; see
+// docs/ARCHITECTURE.md):
 //
-//   u32 magic 0x464E4D4F ("OMNF")   u32 version (1)
+//   u32 magic 0x464E4D4F ("OMNF")   u32 version (kFrameVersion)
 //   u32 type                        u64 payload size
 //   payload bytes
 //   u64 checksum (util::Hasher digest.lo of all preceding bytes,
@@ -31,7 +32,10 @@ namespace omn::dist {
 /// parent/worker binaries reject each other instead of misreading.
 /// v3: result payloads carry a trailing omn-trace blob (worker span
 /// buffers for the merged --trace timeline; empty when tracing is off).
-inline constexpr std::uint32_t kFrameVersion = 3;
+/// v4: grid payloads drop the retired solver selectors (the simplex-core
+/// byte, SweepOptions' LP-reuse byte, the LP warm-start flag, and the
+/// warm-start basis block).
+inline constexpr std::uint32_t kFrameVersion = 4;
 
 /// Frames larger than this are rejected before allocation.  Far above any
 /// real grid or shard report, far below anything that could OOM a host.

@@ -71,8 +71,8 @@ std::string encode_result(const WireResult& result);
 bool decode_result(std::string_view payload, WireResult& out);
 
 /// Content digest of the grid a distributed run shards: instances (text),
-/// configs, labels, the result-shaping sweep options (reseed_per_instance,
-/// reuse_lp — NOT threads, which never changes results), and the shard
+/// configs, labels, the result-shaping sweep option (reseed_per_instance
+/// — NOT threads, which never changes results), and the shard
 /// count.  Checkpoints carry this digest, so resuming with a different
 /// grid, option set, or shard plan recomputes instead of mixing results.
 util::Digest128 grid_digest(const core::DesignSweep& sweep,

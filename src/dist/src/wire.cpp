@@ -15,36 +15,9 @@ using util::ByteWriter;
 // ---- DesignerConfig ------------------------------------------------------
 // Field-by-field, fixed order.  Adding a designer knob MUST extend both
 // sides (and bump kFrameVersion in frame.hpp): the codec carries every
-// field that can change a cell's result.
-
-void encode_basis(ByteWriter& w, const lp::Basis& b) {
-  w.u64(b.state.size());
-  for (lp::VarStatus s : b.state) w.u8(static_cast<std::uint8_t>(s));
-  w.u64(b.basic.size());
-  for (std::int32_t row : b.basic) w.i32(row);
-}
-
-bool decode_basis(ByteReader& r, lp::Basis& b) {
-  std::uint64_t num_states = 0;
-  if (!r.vec_size(num_states, 1)) return false;
-  b.state.resize(static_cast<std::size_t>(num_states));
-  for (lp::VarStatus& s : b.state) {
-    std::uint8_t raw = 0;
-    if (!r.u8(raw) || raw > static_cast<std::uint8_t>(lp::VarStatus::kBasic)) {
-      return false;
-    }
-    s = static_cast<lp::VarStatus>(raw);
-  }
-  std::uint64_t num_basic = 0;
-  if (!r.vec_size(num_basic, 4)) return false;
-  b.basic.resize(static_cast<std::size_t>(num_basic));
-  for (std::int32_t& row : b.basic) {
-    if (!r.i32(row) || row < 0 || static_cast<std::uint64_t>(row) >= num_states) {
-      return false;
-    }
-  }
-  return true;
-}
+// field that can change a cell's result.  Warm-start fields never cross
+// the wire: DesignSweep::add_config rejects warm configs, so a grid is
+// cold by construction.
 
 void encode_solve_options(ByteWriter& w, const lp::SolveOptions& o) {
   w.i32(o.max_iterations);
@@ -52,37 +25,20 @@ void encode_solve_options(ByteWriter& w, const lp::SolveOptions& o) {
   w.f64(o.feasibility_tol);
   w.f64(o.pivot_tol);
   w.i32(o.degenerate_switch);
-  w.u8(static_cast<std::uint8_t>(o.algorithm));
   w.u8(static_cast<std::uint8_t>(o.pricing));
   w.i32(o.refactor_interval);
-  w.boolean(o.warm_start_basis.has_value());
-  if (o.warm_start_basis.has_value()) encode_basis(w, *o.warm_start_basis);
 }
 
 bool decode_solve_options(ByteReader& r, lp::SolveOptions& o) {
+  std::uint8_t pricing = 0;
   if (!(r.i32(o.max_iterations) && r.f64(o.optimality_tol) &&
         r.f64(o.feasibility_tol) && r.f64(o.pivot_tol) &&
-        r.i32(o.degenerate_switch))) {
+        r.i32(o.degenerate_switch) && r.u8(pricing) &&
+        pricing <= static_cast<std::uint8_t>(lp::Pricing::kSteepestEdge) &&
+        r.i32(o.refactor_interval))) {
     return false;
   }
-  std::uint8_t algorithm = 0;
-  std::uint8_t pricing = 0;
-  bool has_basis = false;
-  if (!r.u8(algorithm) ||
-      algorithm > static_cast<std::uint8_t>(lp::Algorithm::kDenseTableau) ||
-      !r.u8(pricing) ||
-      pricing > static_cast<std::uint8_t>(lp::Pricing::kSteepestEdge) ||
-      !r.i32(o.refactor_interval) || !r.boolean(has_basis)) {
-    return false;
-  }
-  o.algorithm = static_cast<lp::Algorithm>(algorithm);
   o.pricing = static_cast<lp::Pricing>(pricing);
-  o.warm_start_basis.reset();
-  if (has_basis) {
-    lp::Basis basis;
-    if (!decode_basis(r, basis)) return false;
-    o.warm_start_basis = std::move(basis);
-  }
   return true;
 }
 
@@ -106,7 +62,6 @@ void encode_config(ByteWriter& w, const core::DesignerConfig& c) {
   w.boolean(c.reflector_stream_capacities);
   w.boolean(c.prune_unused);
   w.boolean(c.cutting_plane);
-  w.boolean(c.lp_warm_start);
   encode_solve_options(w, c.lp_options);
   w.i64(c.color_options.color_capacity_scaled);
   w.f64(c.color_options.cost_drop_factor);
@@ -123,7 +78,6 @@ bool decode_config(ByteReader& r, core::DesignerConfig& c) {
          r.boolean(c.bandwidth_extension) && r.boolean(c.rd_capacities) &&
          r.boolean(c.reflector_stream_capacities) &&
          r.boolean(c.prune_unused) && r.boolean(c.cutting_plane) &&
-         r.boolean(c.lp_warm_start) &&
          decode_solve_options(r, c.lp_options) &&
          r.i64(c.color_options.color_capacity_scaled) &&
          r.f64(c.color_options.cost_drop_factor) &&
@@ -331,13 +285,11 @@ bool decode_report(ByteReader& r, core::SweepReport& report) {
 void encode_options(ByteWriter& w, const core::SweepOptions& options) {
   w.u64(options.threads);
   w.boolean(options.reseed_per_instance);
-  w.boolean(options.reuse_lp);
 }
 
 bool decode_options(ByteReader& r, core::SweepOptions& options) {
   std::uint64_t threads = 0;
-  if (!r.u64(threads) || !r.boolean(options.reseed_per_instance) ||
-      !r.boolean(options.reuse_lp)) {
+  if (!r.u64(threads) || !r.boolean(options.reseed_per_instance)) {
     return false;
   }
   options.threads = static_cast<std::size_t>(threads);

@@ -2,20 +2,21 @@
 // Two-phase primal simplex for linear programs with bounded variables.
 //
 // This is the LP substrate the paper's algorithm sits on (Section 2: "We
-// solve the LP to optimality and find a fractional solution").  Two
-// interchangeable cores sit behind one options struct:
+// solve the LP to optimality and find a fractional solution").
 //
-//  - `Algorithm::kRevised` (default): a revised simplex that keeps the
-//    column-compressed A, maintains the basis as a sparse LU factorization
-//    with product-form (eta-file) updates and periodic refactorization, and
-//    solves B·y = a_q / Bᵀ·z = c_B by substitution.  Per-pivot work is
-//    proportional to basis fill, not to the full tableau, which is what the
-//    overlay LPs' extreme sparsity rewards.  Pricing is pluggable
-//    (`SolveOptions::pricing`): Dantzig or Devex-style steepest edge with
-//    reference-framework weight updates.
-//  - `Algorithm::kDenseTableau`: the original dense full-tableau core, kept
-//    as an in-tree differential oracle.  It always prices Dantzig (with the
-//    Bland switch), so its pivot sequences are bit-stable references.
+// SimplexSolver is the one production core: a revised simplex that keeps
+// the column-compressed A, maintains the basis as a sparse LU
+// factorization with product-form (eta-file) updates and periodic
+// refactorization, and solves B·y = a_q / Bᵀ·z = c_B by substitution.
+// Per-pivot work is proportional to basis fill, not to the full tableau,
+// which is what the overlay LPs' extreme sparsity rewards.  Pricing is
+// pluggable (`SolveOptions::pricing`): Dantzig or Devex-style steepest
+// edge with reference-framework weight updates.
+//
+// solve_dense_reference() runs the original dense full-tableau core on
+// the same standard form.  It is a test and benchmark reference only
+// (the differential suite and E14's `dense` row): it always prices
+// Dantzig (with the Bland switch), so its pivot sequences are bit-stable.
 //
 // Shared mechanics (identical standard form in both cores):
 //
@@ -50,20 +51,13 @@ enum class SolveStatus {
 
 std::string to_string(SolveStatus status);
 
-/// Which simplex core executes the solve.
-enum class Algorithm : std::uint8_t {
-  kRevised = 0,       ///< sparse LU basis + eta updates (default)
-  kDenseTableau = 1,  ///< original dense tableau (differential oracle)
-};
-
-/// Entering-variable rule for the revised core.  The dense oracle ignores
-/// this and always prices Dantzig, so its pivot counts stay pinned.
+/// Entering-variable rule for the revised core.  The dense reference
+/// ignores this and always prices Dantzig, so its pivot counts stay pinned.
 enum class Pricing : std::uint8_t {
   kDantzig = 0,       ///< most-negative reduced cost
   kSteepestEdge = 1,  ///< Devex reference-framework weights (default)
 };
 
-std::string to_string(Algorithm algorithm);
 std::string to_string(Pricing pricing);
 
 /// Per-column simplex status in an exported basis.
@@ -96,8 +90,6 @@ struct SolveOptions {
   double pivot_tol = 1e-8;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   int degenerate_switch = 64;
-  /// Simplex core to run.
-  Algorithm algorithm = Algorithm::kRevised;
   /// Entering rule for the revised core (measured default: steepest edge).
   Pricing pricing = Pricing::kSteepestEdge;
   /// Eta updates accumulated before the revised core refactorizes the basis
@@ -105,7 +97,7 @@ struct SolveOptions {
   /// Values < 1 behave as 1.
   int refactor_interval = 64;
   /// Optional starting basis for the revised core (ignored by the dense
-  /// oracle).  An invalid, singular, or primal-infeasible basis falls back
+  /// reference).  An invalid, singular, or primal-infeasible basis falls back
   /// to the ordinary cold start; a usable one skips phase I.
   std::optional<Basis> warm_start_basis;
 
@@ -127,7 +119,7 @@ struct Solution {
   /// max constraint/bound violation of the returned point, as measured by
   /// Model::max_infeasibility (diagnostic; ~1e-9 for healthy solves).
   double max_violation = 0.0;
-  /// Basis LU refactorizations performed (revised core; 0 for dense).
+  /// Basis LU refactorizations performed (0 for the dense reference).
   int refactorizations = 0;
   /// True when the solve started from SolveOptions::warm_start_basis
   /// (i.e. the basis was accepted, not merely supplied).
@@ -145,5 +137,13 @@ class SimplexSolver {
   /// Solves `model` (minimization).  The model is not modified.
   Solution solve(const Model& model, const SolveOptions& options = {}) const;
 };
+
+/// Solves `model` with the dense full-tableau reference core.  Only tests
+/// and E14 call it: it is the oracle the revised core is checked against,
+/// never a production path.  Honours the tolerances, the iteration limit,
+/// and the Bland switch; ignores pricing, refactor_interval, and
+/// warm_start_basis, and exports no refactorization count.
+Solution solve_dense_reference(const Model& model,
+                               const SolveOptions& options = {});
 
 }  // namespace omn::lp

@@ -23,14 +23,6 @@ std::string to_string(SolveStatus status) {
   return "unknown";
 }
 
-std::string to_string(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kRevised: return "revised";
-    case Algorithm::kDenseTableau: return "dense-tableau";
-  }
-  return "unknown";
-}
-
 std::string to_string(Pricing pricing) {
   switch (pricing) {
     case Pricing::kDantzig: return "dantzig";
@@ -46,7 +38,7 @@ std::size_t uz(int v) { return static_cast<std::size_t>(v); }
 /// The standard form both cores share.  Column layout: [0, n) structural,
 /// [n, n + m) slacks; artificials (appended by each core from the residual)
 /// follow at [n + m, total).  Built once per solve; the arithmetic here is
-/// deliberately identical for both cores so the dense oracle and the revised
+/// deliberately identical for both cores so the dense reference and the revised
 /// kernel disagree only through pivoting, never through the model.
 struct StandardForm {
   int n = 0;
@@ -167,7 +159,7 @@ std::optional<Basis> export_basis(int n, int m,
 }
 
 // ---------------------------------------------------------------------------
-// Dense tableau core (the differential oracle).
+// Dense tableau core (the reference behind solve_dense_reference).
 // ---------------------------------------------------------------------------
 
 /// Working state of one dense solve.  Column layout: [0, n) structural,
@@ -878,7 +870,7 @@ class RevisedSolver {
       const double sigma =
           state_[uz(q)] == VarStatus::kAtLower ? 1.0 : -1.0;
 
-      // Ratio test (same rules and tolerances as the dense oracle).
+      // Ratio test (same rules and tolerances as the dense reference).
       double best_t = upper_[uz(q)] - lower_[uz(q)];  // bound-flip range
       int pivot_row = -1;
       bool leave_at_lower = true;
@@ -1094,10 +1086,6 @@ class RevisedSolver {
   bool numeric_failure_ = false;
 };
 
-}  // namespace
-
-namespace {
-
 /// Live-counter bookkeeping shared by both solver backends; feeds the
 /// serve `stats` event and the counter tracks of a --trace export.
 void count_solve(const Solution& out) {
@@ -1107,42 +1095,47 @@ void count_solve(const Solution& out) {
                   static_cast<std::uint64_t>(out.refactorizations));
 }
 
+/// A model without rows is a pure box problem: each variable sits at the
+/// bound favoured by its objective coefficient.  Both cores defer to it.
+Solution solve_box(const Model& model) {
+  Solution out;
+  out.status = SolveStatus::kOptimal;
+  out.x.resize(uz(model.num_variables()));
+  Basis basis;
+  basis.state.assign(uz(model.num_variables()), VarStatus::kAtLower);
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const Variable& v = model.variable(j);
+    if (v.objective >= 0.0) {
+      out.x[uz(j)] = v.lower;
+    } else if (std::isfinite(v.upper)) {
+      out.x[uz(j)] = v.upper;
+      basis.state[uz(j)] = VarStatus::kAtUpper;
+    } else {
+      out.status = SolveStatus::kUnbounded;
+      out.x[uz(j)] = v.lower;
+    }
+  }
+  out.objective = model.objective_value(out.x);
+  if (out.status == SolveStatus::kOptimal) out.basis = std::move(basis);
+  return out;
+}
+
 }  // namespace
 
 Solution SimplexSolver::solve(const Model& model,
                               const SolveOptions& options) const {
-  if (model.num_rows() == 0) {
-    // Pure box problem: each variable sits at the bound favoured by its
-    // objective coefficient.
-    Solution out;
-    out.status = SolveStatus::kOptimal;
-    out.x.resize(uz(model.num_variables()));
-    Basis basis;
-    basis.state.assign(uz(model.num_variables()), VarStatus::kAtLower);
-    for (int j = 0; j < model.num_variables(); ++j) {
-      const Variable& v = model.variable(j);
-      if (v.objective >= 0.0) {
-        out.x[uz(j)] = v.lower;
-      } else if (std::isfinite(v.upper)) {
-        out.x[uz(j)] = v.upper;
-        basis.state[uz(j)] = VarStatus::kAtUpper;
-      } else {
-        out.status = SolveStatus::kUnbounded;
-        out.x[uz(j)] = v.lower;
-      }
-    }
-    out.objective = model.objective_value(out.x);
-    if (out.status == SolveStatus::kOptimal) out.basis = std::move(basis);
-    return out;
-  }
-  if (options.algorithm == Algorithm::kDenseTableau) {
-    DenseTableau tableau(model, options);
-    Solution out = tableau.run();
-    count_solve(out);
-    return out;
-  }
+  if (model.num_rows() == 0) return solve_box(model);
   RevisedSolver solver(model, options);
   Solution out = solver.run();
+  count_solve(out);
+  return out;
+}
+
+Solution solve_dense_reference(const Model& model,
+                               const SolveOptions& options) {
+  if (model.num_rows() == 0) return solve_box(model);
+  DenseTableau tableau(model, options);
+  Solution out = tableau.run();
   count_solve(out);
   return out;
 }

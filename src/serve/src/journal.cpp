@@ -28,7 +28,9 @@ util::Digest128 config_digest(const core::DesignerConfig& config) {
   hasher.boolean(config.prune_unused);
   hasher.boolean(config.cutting_plane);
   hasher.boolean(config.lp_warm_start);
-  hasher.u32(static_cast<std::uint32_t>(config.lp_options.algorithm));
+  // The retired simplex-core selector, hashed as its only value (0 =
+  // revised) so journals written before its removal still resume.
+  hasher.u32(0);
   hasher.u32(static_cast<std::uint32_t>(config.lp_options.pricing));
   return hasher.digest();
 }

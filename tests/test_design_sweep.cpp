@@ -1,11 +1,13 @@
 // Tests for the DesignSweep batch driver: grid shape/labels, cell access,
-// bit-identical results for serial vs pool-backed execution, and the
-// LP-reuse planner (grouped solves must be bit-identical to per-cell
-// solves, with the solve count equal to instances x distinct LP configs).
+// bit-identical results for serial vs pool-backed execution, the LP-reuse
+// planner (every cell bit-identical to a per-cell
+// OverlayDesigner(config).design(instance), with the solve count equal to
+// instances x distinct LP configs), and the cold-only config contract.
 #include "omn/core/design_sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +19,8 @@ namespace {
 using omn::core::DesignerConfig;
 using omn::core::DesignSweep;
 using omn::core::LpWork;
+using omn::core::OverlayDesigner;
+using omn::core::SweepCell;
 using omn::core::SweepOptions;
 using omn::core::SweepReport;
 
@@ -41,6 +45,30 @@ void expect_reports_bit_identical(const SweepReport& a, const SweepReport& b) {
     EXPECT_EQ(a.cells[k].result.evaluation.min_weight_ratio,
               b.cells[k].result.evaluation.min_weight_ratio);
   }
+}
+
+/// The reference a sweep must reproduce: every cell designed on its own
+/// by OverlayDesigner(config).design(instance) — one LP solve per cell,
+/// no planner — with the sweep's per-instance reseeding applied.
+SweepReport per_cell_designs(const DesignSweep& sweep,
+                             const SweepOptions& options) {
+  SweepReport report;
+  report.num_instances = sweep.num_instances();
+  report.num_configs = sweep.num_configs();
+  for (std::size_t i = 0; i < sweep.num_instances(); ++i) {
+    for (std::size_t c = 0; c < sweep.num_configs(); ++c) {
+      SweepCell cell;
+      cell.instance_index = i;
+      cell.config_index = c;
+      cell.instance_label = sweep.instance_label(i);
+      cell.config_label = sweep.config_label(c);
+      DesignerConfig config = sweep.config(c);
+      if (options.reseed_per_instance) config.seed += i;
+      cell.result = OverlayDesigner(config).design(sweep.instance(i));
+      report.cells.push_back(std::move(cell));
+    }
+  }
+  return report;
 }
 
 DesignSweep small_sweep() {
@@ -166,43 +194,59 @@ TEST(DesignSweep, LpSolveCountEqualsInstancesTimesDistinctLpConfigs) {
   EXPECT_EQ(grouped.lp_configs, 3u);  // {base, reseeded} | {no-cut} | {tight}
   EXPECT_EQ(grouped.lp.solves, 2u * 3u);
 
-  SweepOptions ungrouped;
-  ungrouped.reuse_lp = false;
-  const SweepReport per_cell = sweep.run(ungrouped);
-  EXPECT_EQ(per_cell.lp.solves, sweep.num_cells());
-
-  // Both paths' LP work is the per-solve LpWork sum: every cell of the
-  // ungrouped run, one representative cell per (instance, group) of the
-  // grouped run (cells carry their shared solve's counters).
+  // Designing every cell on its own solves once per cell; the planner's
+  // tally is the per-solve LpWork sum over one cell per (instance, group)
+  // ("reseeded" shares "base"'s LP).
+  const SweepReport per_cell = per_cell_designs(sweep, {});
   LpWork per_solve;
   LpWork every_cell;
-  for (std::size_t i = 0; i < sweep.num_instances(); ++i) {
-    for (std::size_t c : {0u, 2u, 3u}) {
-      per_solve += LpWork::of(grouped.cell(i, c).result, false);
-    }
-    for (std::size_t c = 0; c < sweep.num_configs(); ++c) {
-      every_cell += LpWork::of(per_cell.cell(i, c).result, false);
-    }
+  for (const SweepCell& cell : per_cell.cells) {
+    const LpWork work = LpWork::of(cell.result, false);
+    every_cell += work;
+    if (cell.config_index != 1) per_solve += work;
   }
+  EXPECT_EQ(every_cell.solves, sweep.num_cells());
   EXPECT_GT(per_solve.iterations, 0u);
   EXPECT_EQ(grouped.lp, per_solve);
-  EXPECT_EQ(per_cell.lp, every_cell);
 }
 
-// Grouped (shared-LP) and ungrouped (per-cell LP) sweeps must produce
-// bit-identical reports: the LP build and simplex solve are deterministic,
-// so reuse may only change the wall clock.
+// The planner's shared solves must reproduce per-cell designer runs bit
+// for bit at every thread count: the LP build and simplex solve are
+// deterministic, so reuse may only change the wall clock.
 TEST(DesignSweep, GroupedMatchesUngroupedBitForBit) {
   const DesignSweep sweep = small_sweep();
-  SweepOptions grouped;
-  grouped.reuse_lp = true;
-  grouped.reseed_per_instance = true;
-  SweepOptions ungrouped = grouped;
-  ungrouped.reuse_lp = false;
-  const SweepReport a = sweep.run(grouped);
-  const SweepReport b = sweep.run(ungrouped);
-  EXPECT_LT(a.lp.solves, b.lp.solves);
-  expect_reports_bit_identical(a, b);
+  SweepOptions options;
+  options.reseed_per_instance = true;
+  const SweepReport ungrouped = per_cell_designs(sweep, options);
+  std::optional<LpWork> serial_work;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    options.threads = threads;
+    const SweepReport grouped = sweep.run(options);
+    EXPECT_LT(grouped.lp.solves, ungrouped.cells.size());
+    expect_reports_bit_identical(grouped, ungrouped);
+    if (!serial_work.has_value()) serial_work = grouped.lp;
+    EXPECT_EQ(grouped.lp, *serial_work);
+  }
+}
+
+// A sweep is cold by contract: a warm start depends on which solve ran
+// before it, which a parallel sweep does not fix.
+TEST(DesignSweep, RejectsWarmStartConfigs) {
+  DesignSweep sweep;
+  DesignerConfig warm;
+  warm.lp_warm_start = true;
+  EXPECT_THROW(sweep.add_config("warm", warm), std::invalid_argument);
+  DesignerConfig basis;
+  basis.lp_options.warm_start_basis = omn::lp::Basis{};
+  EXPECT_THROW(sweep.add_config("basis", basis), std::invalid_argument);
+  DesignerConfig color_basis;
+  color_basis.color_options.lp_options.warm_start_basis = omn::lp::Basis{};
+  EXPECT_THROW(sweep.add_config("color-basis", color_basis),
+               std::invalid_argument);
+  EXPECT_EQ(sweep.num_configs(), 0u);
+  sweep.add_config("cold", DesignerConfig{});
+  EXPECT_EQ(sweep.num_configs(), 1u);
 }
 
 // A caller-owned context must work end to end and reproduce the global

@@ -2,9 +2,9 @@
 //
 //   - ShardPlan: deterministic, covering, near-equal partitions.
 //   - Frame protocol: round trips plus one test per rejection status, and
-//     the golden file tests/data/dist_frame_v3.bin pinning the current
+//     the golden file tests/data/dist_frame_v4.bin pinning the current
 //     bytes (truncation / checksum-mismatch / version-mismatch rejection);
-//     dist_frame_v1.bin and dist_frame_v2.bin stay as version-skew
+//     dist_frame_v1.bin, v2 and v3 stay as version-skew
 //     rejection fixtures.  `test_dist write-golden <path>` regenerates
 //     the current-version golden on a deliberate format bump.
 //   - Wire codecs: grid and result payloads round-trip bit-exactly.
@@ -303,7 +303,7 @@ std::string golden_frame_payload() {
 }
 
 TEST(GoldenDistFrame, LoadsAndReserializesByteExact) {
-  const std::string golden = slurp(data_path("dist_frame_v3.bin"));
+  const std::string golden = slurp(data_path("dist_frame_v4.bin"));
   ASSERT_FALSE(golden.empty());
   std::istringstream in(golden);
   Frame frame;
@@ -321,7 +321,7 @@ TEST(GoldenDistFrame, LoadsAndReserializesByteExact) {
 }
 
 TEST(GoldenDistFrame, TruncationVersionAndChecksumRejected) {
-  const std::string golden = slurp(data_path("dist_frame_v3.bin"));
+  const std::string golden = slurp(data_path("dist_frame_v4.bin"));
   ASSERT_GT(golden.size(), 28u);
   Frame frame;
   for (const std::size_t keep :
@@ -332,7 +332,7 @@ TEST(GoldenDistFrame, TruncationVersionAndChecksumRejected) {
         << "prefix of " << keep << " bytes was accepted";
   }
   std::string bad_version = golden;
-  bad_version[4] = 4;  // version field (little-endian u32 after the magic)
+  bad_version[4] = 5;  // version field (little-endian u32 after the magic)
   std::istringstream vin(bad_version);
   EXPECT_EQ(omn::dist::read_frame(vin, frame), FrameStatus::kBadVersion);
   std::string bad_payload = golden;
@@ -341,25 +341,21 @@ TEST(GoldenDistFrame, TruncationVersionAndChecksumRejected) {
   EXPECT_EQ(omn::dist::read_frame(cin, frame), FrameStatus::kBadChecksum);
 }
 
-TEST(GoldenDistFrame, RejectsLegacyV1Frames) {
-  // The frame version gates the PAYLOAD codecs, which v2 extended (solver
-  // options, warm-start basis, new counters).  A v1 peer must be rejected
-  // at the header, before any payload is misread.
-  const std::string golden = slurp(data_path("dist_frame_v1.bin"));
-  ASSERT_FALSE(golden.empty());
-  std::istringstream in(golden);
-  Frame frame;
-  EXPECT_EQ(omn::dist::read_frame(in, frame), FrameStatus::kBadVersion);
-}
-
-TEST(GoldenDistFrame, RejectsLegacyV2Frames) {
-  // v3 appended the trailing omn-trace blob to result payloads; a v2 peer
-  // would misread a traced result, so the header rejects it outright.
-  const std::string golden = slurp(data_path("dist_frame_v2.bin"));
-  ASSERT_FALSE(golden.empty());
-  std::istringstream in(golden);
-  Frame frame;
-  EXPECT_EQ(omn::dist::read_frame(in, frame), FrameStatus::kBadVersion);
+TEST(GoldenDistFrame, RejectsLegacyFrames) {
+  // The frame version gates the PAYLOAD codecs, so an older peer must be
+  // rejected at the header, before any payload is misread: v2 extended
+  // the codecs (solver options, counters), v3 appended the trace blob to
+  // result payloads, and v4 dropped the retired solver selectors from
+  // grid payloads.
+  for (const char* name :
+       {"dist_frame_v1.bin", "dist_frame_v2.bin", "dist_frame_v3.bin"}) {
+    SCOPED_TRACE(name);
+    const std::string golden = slurp(data_path(name));
+    ASSERT_FALSE(golden.empty());
+    std::istringstream in(golden);
+    Frame frame;
+    EXPECT_EQ(omn::dist::read_frame(in, frame), FrameStatus::kBadVersion);
+  }
 }
 
 // ---- wire codecs ----------------------------------------------------------
@@ -383,14 +379,12 @@ TEST(DistWire, GridRoundTripsInstancesConfigsAndOptions) {
   SweepOptions options;
   options.threads = 3;
   options.reseed_per_instance = true;
-  options.reuse_lp = false;
 
   const std::string payload = omn::dist::encode_grid(sweep, options);
   WireGrid grid;
   ASSERT_TRUE(omn::dist::decode_grid(payload, grid));
   EXPECT_EQ(grid.options.threads, 3u);
   EXPECT_TRUE(grid.options.reseed_per_instance);
-  EXPECT_FALSE(grid.options.reuse_lp);
   ASSERT_EQ(grid.sweep.num_instances(), sweep.num_instances());
   ASSERT_EQ(grid.sweep.num_configs(), sweep.num_configs());
   for (std::size_t i = 0; i < sweep.num_instances(); ++i) {

@@ -39,7 +39,6 @@ using omn::core::DesignSweep;
 using omn::core::LpBuildOptions;
 using omn::core::LpCache;
 using omn::core::OverlayDesigner;
-using omn::core::SweepOptions;
 using omn::core::SweepReport;
 using omn::util::Digest128;
 using omn::util::Hasher;
@@ -166,6 +165,15 @@ TEST(InstanceDigest, KeyCoversBuildAndSolveOptions) {
   lp::SolveOptions tighter;
   tighter.optimality_tol = 1e-10;
   EXPECT_FALSE(base == LpCache::key(inst, {}, tighter));
+}
+
+TEST(InstanceDigest, KeyIsPinned) {
+  // Known answer for the default options.  Cache directories outlive the
+  // binary that wrote them, so any change to the key derivation (the
+  // hashed fields, their order, or a retired option's placeholder) must
+  // show up here as a deliberate decision.
+  EXPECT_EQ(LpCache::key(small_instance(), {}, {}).hex(),
+            "0769fb0425fb2ca40a398d34107e907c");
 }
 
 // ---- memory tier ----------------------------------------------------------
@@ -402,31 +410,6 @@ TEST(LpCacheSweep, RepeatedSweepPerformsZeroSolvesOnWarmRun) {
   }
 }
 
-TEST(LpCacheSweep, CacheAppliesToUngroupedSweepsToo) {
-  DesignSweep sweep;
-  sweep.add_instance("event", small_instance());
-  DesignerConfig cfg;
-  cfg.rounding_attempts = 1;
-  sweep.add_config("a", cfg);
-  cfg.seed = 2;
-  sweep.add_config("b", cfg);
-
-  SweepOptions options;
-  options.reuse_lp = false;
-
-  omn::util::ExecutionContext context(1);
-  context.set_service(std::make_shared<LpCache>());
-  const SweepReport cold = sweep.run(options, context);
-  // Ungrouped cells solve independently, so the second cell already hits
-  // the first cell's insertion.
-  EXPECT_EQ(cold.lp.solves, 1u);
-  EXPECT_EQ(cold.lp.cache_hits, 1u);
-
-  const SweepReport warm = sweep.run(options, context);
-  EXPECT_EQ(warm.lp.solves, 0u);
-  EXPECT_EQ(warm.lp.cache_hits, 2u);
-}
-
 TEST(LpCacheSweep, DiskCachePersistsAcrossSweepObjects) {
   const std::string dir = fresh_cache_dir("sweep");
   const auto run_once = [&] {
@@ -531,32 +514,6 @@ TEST(LpCacheWarmStart, OffByDefaultEvenWithBasesIndexed) {
       omn::core::solve_overlay_lp_cached(perturbed, {}, {}, &cache);
   EXPECT_FALSE(cold.cache_hit);
   EXPECT_FALSE(cold.solution.warm_started);  // bit-identity default holds
-}
-
-TEST(LpCacheSweep, WarmStartConfigReportsWarmHitsAndIterationCounters) {
-  DesignSweep sweep;
-  omn::net::OverlayInstance perturbed = small_instance();
-  for (int i = 0; i < perturbed.num_reflectors(); ++i) {
-    perturbed.reflector(i).build_cost *= 1.0 + 0.02 * (i + 1);
-  }
-  sweep.add_instance("base", small_instance());
-  sweep.add_instance("perturbed", std::move(perturbed));
-  DesignerConfig cfg;
-  cfg.rounding_attempts = 1;
-  cfg.lp_warm_start = true;
-  sweep.add_config("warm", cfg);
-
-  // Serial context: instance 0 solves cold and notes its basis, instance 1
-  // (same shape) warm-starts from it.
-  omn::util::ExecutionContext context(1);
-  context.set_service(std::make_shared<LpCache>());
-  const SweepReport report = sweep.run({.threads = 1}, context);
-  EXPECT_EQ(report.lp.solves, 2u);
-  EXPECT_EQ(report.lp.warm_start_hits, 1u);
-  EXPECT_GT(report.lp.iterations, 0u);
-  EXPECT_GT(report.lp.phase1_iterations, 0u);
-  EXPECT_TRUE(report.cell(1, 0).result.lp_warm_start);
-  EXPECT_FALSE(report.cell(0, 0).result.lp_warm_start);
 }
 
 }  // namespace

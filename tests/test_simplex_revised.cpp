@@ -1,5 +1,5 @@
 // Tests specific to the revised simplex (basis LU + eta file) and its
-// relationship to the dense tableau oracle:
+// relationship to the dense tableau reference (lp::solve_dense_reference):
 //
 //  - Differential property: ~200 random bounded LPs — feasible,
 //    infeasible, unbounded, and degenerate by construction — solved by
@@ -31,7 +31,6 @@
 
 namespace {
 
-using omn::lp::Algorithm;
 using omn::lp::Basis;
 using omn::lp::kInfinity;
 using omn::lp::Model;
@@ -120,14 +119,11 @@ TEST(RevisedSimplexDifferential, AgreesWithDenseTableauOn200RandomLps) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Model model = make_random_lp(seed);
 
-    SolveOptions dense_options;
-    dense_options.algorithm = Algorithm::kDenseTableau;
-    const Solution dense = SimplexSolver().solve(model, dense_options);
+    const Solution dense = omn::lp::solve_dense_reference(model);
     ASSERT_NE(dense.status, SolveStatus::kIterationLimit) << "seed=" << seed;
 
     for (const Pricing pricing : {Pricing::kDantzig, Pricing::kSteepestEdge}) {
       SolveOptions revised_options;
-      revised_options.algorithm = Algorithm::kRevised;
       revised_options.pricing = pricing;
       const Solution revised = SimplexSolver().solve(model, revised_options);
 
@@ -181,9 +177,7 @@ TEST(DenseTableauPinning, FrozenArtificialColumnsKeepPivotSequence) {
     const omn::net::OverlayInstance inst = omn::topo::make_uniform_random(cfg);
     const omn::core::OverlayLp lp = omn::core::build_overlay_lp(inst, {});
 
-    SolveOptions options;
-    options.algorithm = Algorithm::kDenseTableau;
-    const Solution sol = SimplexSolver().solve(lp.model, options);
+    const Solution sol = omn::lp::solve_dense_reference(lp.model);
     ASSERT_EQ(sol.status, SolveStatus::kOptimal) << "seed=" << c.seed;
     EXPECT_EQ(sol.iterations, c.iterations) << "seed=" << c.seed;
     EXPECT_EQ(sol.phase1_iterations, c.phase1_iterations) << "seed=" << c.seed;

@@ -4,22 +4,25 @@
 //   generate  --sinks N [--isps K] [--seed S] [--eu-heavy] --out inst.txt
 //   design    --instance inst.txt [--seed S] [--c C] [--colors]
 //             [--bandwidth] [--attempts A] [--threads T] [--lp-cache DIR]
-//             [--algorithm revised|dense-tableau]
-//             [--pricing steepest-edge|dantzig] [--warm-start]
+//             [--pricing steepest-edge|dantzig]
 //             [--out design.txt] [--metrics out.json]
 //   sweep     --instance inst.txt [--c C1,C2,...] [--seeds K]
-//             [--attempts A] [--threads T] [--no-reuse-lp] [--lp-cache DIR]
+//             [--attempts A] [--threads T] [--lp-cache DIR]
 //             [--workers N] [--checkpoints DIR] [--metrics out.json]
 //   serve     --instance inst.txt [--journal F] [--seed S] [--c C]
 //             [--colors] [--bandwidth] [--attempts A] [--threads T]
 //             [--warm-start] [--lp-cache DIR]
-//             [--algorithm ...] [--pricing ...] [--metrics F]
+//             [--pricing ...] [--metrics F]
 //   run       script.omn          (command file: one subcommand per line)
 //   evaluate  --instance inst.txt --design design.txt
 //   simulate  --instance inst.txt --design design.txt [--packets P]
 //             [--seed S] [--isp-outage-prob Q]
 //   failover  --instance inst.txt --design design.txt
 //   worker    [--lp-cache DIR]   (internal: distributed sweep worker)
+//
+// Each subcommand accepts exactly the options listed for it above: an
+// unknown or misspelled option, a value given to a stand-alone flag, or a
+// value option given without its value is a usage error (exit 2).
 //
 // Global flags (any subcommand, any position; stripped before the
 // subcommand parser runs):
@@ -56,14 +59,8 @@
 // for every thread count.  `design --out` records the knobs and per-stage
 // timings as `meta` lines in the design file; `evaluate` reports them back.
 //
-// design --algorithm / --pricing select the simplex core and entering
-// rule (see omn/lp/simplex.hpp); `--algorithm dense-tableau` keeps the
-// original dense oracle selectable for differential runs.  --warm-start
-// (requires --lp-cache) lets a structurally identical instance reuse the
-// cache's optimal basis: the LP solve skips phase I and typically needs a
-// small fraction of the cold pivots, at the price of possibly returning a
-// DIFFERENT optimal vertex than the cold solve — so warm runs trade the
-// repo's bit-identity guarantee for speed, and the flag is off by default.
+// design/serve --pricing selects the revised simplex's entering rule
+// (see omn/lp/simplex.hpp).
 //
 // --lp-cache DIR installs a content-addressed core::LpCache over DIR:
 // the LP solve (the dominant design cost) is keyed on the instance's
@@ -81,8 +78,11 @@
 // --journal F every applied event is appended (checksummed, flushed
 // before the ack) so a killed daemon restarted with the same --journal
 // replays to the identical design; `snapshot` compacts the journal.
-// serve allows --warm-start WITHOUT --lp-cache: the session installs a
-// memory-only LpCache for its own basis reuse when none is configured.
+// serve --warm-start re-solves each redesign from the session's previous
+// optimal basis (skipping phase I when it stays feasible), at the price
+// of possibly landing on a DIFFERENT optimal vertex than a cold solve;
+// the session installs a memory-only LpCache for that basis when no
+// --lp-cache is configured.
 //
 // sweep --workers N shards the grid across N `omn_design worker`
 // subprocesses (omn::dist): the report is bit-identical to the in-process
@@ -91,6 +91,7 @@
 // reassigned to a survivor, and --checkpoints DIR persists per-shard
 // results so an interrupted sweep resumes without recomputing them.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -193,13 +194,8 @@ Args parse(const std::vector<std::string>& tokens) {
   return args;
 }
 
-/// The validated --metrics path ("" when the flag is absent).
-std::string metrics_path(const Args& args) {
-  if (args.has("metrics")) {
-    throw std::runtime_error("--metrics needs a file path argument");
-  }
-  return args.get("metrics", "");
-}
+/// The --metrics path ("" when the flag is absent).
+std::string metrics_path(const Args& args) { return args.get("metrics", ""); }
 
 /// Starts a "omn-metrics-v1" envelope for one omn_design subcommand.
 /// The envelope mirrors the one bench_common.hpp emits so one consumer
@@ -220,15 +216,8 @@ void write_metrics_file(const std::string& path,
   }
 }
 
-/// The validated --lp-cache directory ("" when the flag is absent).  A
-/// bare --lp-cache is rejected: without a directory nothing outlives the
-/// process, and within one process the sweep planner already dedupes.
-std::string lp_cache_dir(const Args& args) {
-  if (args.has("lp-cache")) {
-    throw std::runtime_error("--lp-cache needs a directory argument");
-  }
-  return args.get("lp-cache", "");
-}
+/// The --lp-cache directory ("" when the flag is absent).
+std::string lp_cache_dir(const Args& args) { return args.get("lp-cache", ""); }
 
 /// The --lp-cache DIR cache, or nullptr when the flag is absent.
 std::shared_ptr<omn::core::LpCache> make_lp_cache(const Args& args) {
@@ -237,22 +226,17 @@ std::shared_ptr<omn::core::LpCache> make_lp_cache(const Args& args) {
   return std::make_shared<omn::core::LpCache>(dir);
 }
 
-/// --algorithm / --pricing / --warm-start -> the designer's LP knobs.
-/// Unknown names are usage errors, not silent defaults.
-/// `warm_needs_cache` enforces the design/sweep pairing of --warm-start
-/// with --lp-cache; serve passes false because its DesignState installs a
-/// memory-only cache itself when none is configured.
-void apply_lp_flags(const Args& args, omn::core::DesignerConfig& cfg,
-                    bool warm_needs_cache = true) {
-  const std::string algorithm = args.get("algorithm", "revised");
-  if (algorithm == "revised") {
-    cfg.lp_options.algorithm = omn::lp::Algorithm::kRevised;
-  } else if (algorithm == "dense-tableau") {
-    cfg.lp_options.algorithm = omn::lp::Algorithm::kDenseTableau;
-  } else {
-    throw UsageError("bad --algorithm value '" + algorithm +
-                     "' (expected 'revised' or 'dense-tableau')");
-  }
+/// The designer knobs design and serve share: --seed, --c, --attempts,
+/// --threads, --colors, --bandwidth, --pricing.  An unknown --pricing
+/// name is a usage error, not a silent default.
+omn::core::DesignerConfig designer_config(const Args& args) {
+  omn::core::DesignerConfig cfg;
+  cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
+  cfg.c = args.get_double("c", cfg.c);
+  cfg.rounding_attempts = static_cast<int>(args.get_count("attempts", 3));
+  cfg.threads = static_cast<int>(args.get_count("threads", 0));
+  cfg.color_constraints = args.has("colors");
+  cfg.bandwidth_extension = args.has("bandwidth");
   const std::string pricing = args.get("pricing", "steepest-edge");
   if (pricing == "steepest-edge") {
     cfg.lp_options.pricing = omn::lp::Pricing::kSteepestEdge;
@@ -262,11 +246,7 @@ void apply_lp_flags(const Args& args, omn::core::DesignerConfig& cfg,
     throw UsageError("bad --pricing value '" + pricing +
                      "' (expected 'steepest-edge' or 'dantzig')");
   }
-  cfg.lp_warm_start = args.has("warm-start");
-  if (cfg.lp_warm_start && warm_needs_cache && lp_cache_dir(args).empty()) {
-    throw UsageError("--warm-start requires --lp-cache DIR (the shape-keyed "
-                     "basis index lives on the cache)");
-  }
+  return cfg;
 }
 
 /// Strips the global `--log FILE` / `--trace FILE` flags (valid for
@@ -302,15 +282,13 @@ int usage() {
       "  generate  --sinks N [--isps K] [--seed S] [--eu-heavy] --out F\n"
       "  design    --instance F [--seed S] [--c C] [--colors] [--bandwidth]\n"
       "            [--attempts A] [--threads T] [--lp-cache DIR] [--out F]\n"
-      "            [--algorithm revised|dense-tableau]\n"
-      "            [--pricing steepest-edge|dantzig] [--warm-start]\n"
-      "            [--metrics F]\n"
+      "            [--pricing steepest-edge|dantzig] [--metrics F]\n"
       "  serve     --instance F [--journal F] [--seed S] [--c C] [--colors]\n"
       "            [--bandwidth] [--attempts A] [--threads T] [--warm-start]\n"
-      "            [--lp-cache DIR] [--algorithm ...] [--pricing ...]\n"
+      "            [--lp-cache DIR] [--pricing ...]\n"
       "            [--metrics F]    (event protocol on stdin; see header)\n"
       "  sweep     --instance F [--c C1,C2,...] [--seeds K] [--attempts A]\n"
-      "            [--threads T] [--no-reuse-lp] [--lp-cache DIR]\n"
+      "            [--threads T] [--lp-cache DIR]\n"
       "            [--workers N] [--checkpoints DIR] [--metrics F]\n"
       "  run       script.omn    (one subcommand per line; # comments)\n"
       "  worker    [--lp-cache DIR]    (internal: distributed sweep worker)\n"
@@ -345,14 +323,7 @@ int cmd_generate(const Args& args) {
 
 int cmd_design(const Args& args) {
   const auto inst = omn::net::load_file(args.get("instance", ""));
-  omn::core::DesignerConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
-  cfg.c = args.get_double("c", cfg.c);
-  cfg.rounding_attempts = static_cast<int>(args.get_count("attempts", 3));
-  cfg.threads = static_cast<int>(args.get_count("threads", 0));
-  cfg.color_constraints = args.has("colors");
-  cfg.bandwidth_extension = args.has("bandwidth");
-  apply_lp_flags(args, cfg);
+  const omn::core::DesignerConfig cfg = designer_config(args);
   const std::shared_ptr<omn::core::LpCache> cache = make_lp_cache(args);
   // The designer's own context choice, with the cache riding along as a
   // service when requested (a context without the service behaves exactly
@@ -378,12 +349,10 @@ int cmd_design(const Args& args) {
               "(attempts %d, threads %s)\n",
               result.lp_seconds, result.rounding_seconds,
               result.attempts_made, threads_label.c_str());
-  std::printf("lp: %s/%s | %d pivots (%d phase 1), %d refactorizations%s\n",
-              omn::lp::to_string(cfg.lp_options.algorithm).c_str(),
+  std::printf("lp: %s | %d pivots (%d phase 1), %d refactorizations\n",
               omn::lp::to_string(cfg.lp_options.pricing).c_str(),
               result.lp_iterations, result.lp_phase1_iterations,
-              result.lp_refactorizations,
-              result.lp_warm_start ? ", warm-started" : "");
+              result.lp_refactorizations);
   if (cache != nullptr) {
     const omn::core::LpCacheStats stats = cache->stats();
     std::printf("lp cache: %s | %zu hits (%zu disk), %zu misses, "
@@ -429,14 +398,8 @@ int cmd_design(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  omn::core::DesignerConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
-  cfg.c = args.get_double("c", cfg.c);
-  cfg.rounding_attempts = static_cast<int>(args.get_count("attempts", 3));
-  cfg.threads = static_cast<int>(args.get_count("threads", 0));
-  cfg.color_constraints = args.has("colors");
-  cfg.bandwidth_extension = args.has("bandwidth");
-  apply_lp_flags(args, cfg, /*warm_needs_cache=*/false);
+  omn::core::DesignerConfig cfg = designer_config(args);
+  cfg.lp_warm_start = args.has("warm-start");
 
   omn::serve::ServeOptions options;
   options.config = cfg;
@@ -500,7 +463,6 @@ int cmd_sweep(const Args& args) {
   }
   omn::core::SweepOptions options;
   options.threads = args.get_count("threads", 0);
-  options.reuse_lp = !args.has("no-reuse-lp");
   const std::size_t workers = args.get_count("workers", 0);
 
   // Checkpoints are a distributed-engine feature (per-SHARD results);
@@ -668,18 +630,77 @@ int cmd_failover(const Args& args) {
 
 int cmd_run(const std::vector<std::string>& tokens);
 
-/// Routes one parsed command line to its implementation.  Returns -1 for
-/// an unknown command (the caller decides between usage() and a script
-/// error with a line number).
+/// One subcommand and the options it reads: `values` take an argument,
+/// `flags` stand alone.
+struct Subcommand {
+  int (*run)(const Args&);
+  std::vector<std::string> values;
+  std::vector<std::string> flags;
+};
+
+const std::map<std::string, Subcommand>& subcommands() {
+  static const std::map<std::string, Subcommand> table = {
+      {"generate",
+       {cmd_generate, {"sinks", "isps", "seed", "out"}, {"eu-heavy"}}},
+      {"design",
+       {cmd_design,
+        {"instance", "seed", "c", "attempts", "threads", "pricing",
+         "lp-cache", "out", "metrics"},
+        {"colors", "bandwidth"}}},
+      {"serve",
+       {cmd_serve,
+        {"instance", "journal", "seed", "c", "attempts", "threads",
+         "pricing", "lp-cache", "metrics"},
+        {"colors", "bandwidth", "warm-start"}}},
+      {"sweep",
+       {cmd_sweep,
+        {"instance", "c", "seeds", "attempts", "threads", "lp-cache",
+         "workers", "checkpoints", "metrics"},
+        {}}},
+      {"evaluate", {cmd_evaluate, {"instance", "design"}, {}}},
+      {"simulate",
+       {cmd_simulate,
+        {"instance", "design", "packets", "seed", "isp-outage-prob"},
+        {}}},
+      {"failover", {cmd_failover, {"instance", "design"}, {}}},
+  };
+  return table;
+}
+
+/// Throws UsageError unless every option in `args` is one `command`
+/// reads, in the form it reads it: a typo or a retired flag must fail
+/// loudly, not be silently ignored.
+void check_options(const Args& args, const Subcommand& command) {
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const auto& [name, value] : args.options) {
+    if (listed(command.flags, name)) {
+      throw UsageError("--" + name + " takes no value (got '" + value + "')");
+    }
+    if (!listed(command.values, name)) {
+      throw UsageError("unknown option --" + name + " for " + args.command);
+    }
+  }
+  for (const auto& [name, set] : args.flags) {
+    if (listed(command.values, name)) {
+      throw UsageError("--" + name + " needs a value");
+    }
+    if (!listed(command.flags, name)) {
+      throw UsageError("unknown option --" + name + " for " + args.command);
+    }
+  }
+}
+
+/// Routes one parsed command line to its implementation after checking
+/// its options.  Returns -1 for an unknown command (the caller decides
+/// between usage() and a script error with a line number).
 int dispatch(const Args& args) {
-  if (args.command == "generate") return cmd_generate(args);
-  if (args.command == "design") return cmd_design(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "sweep") return cmd_sweep(args);
-  if (args.command == "evaluate") return cmd_evaluate(args);
-  if (args.command == "simulate") return cmd_simulate(args);
-  if (args.command == "failover") return cmd_failover(args);
-  return -1;
+  const auto it = subcommands().find(args.command);
+  if (it == subcommands().end()) return -1;
+  check_options(args, it->second);
+  return it->second.run(args);
 }
 
 /// `omn_design run script.omn` — the whole experiment pipeline as one
