@@ -17,35 +17,19 @@
 //                   execution context: a re-run of the same bench serves
 //                   every LP solve from the cache (the summary line shows
 //                   the hit/miss traffic)
-//   --workers N     shard the sweep across N worker processes (omn::dist):
-//                   the bench re-invokes itself as `<exe> worker`, the
-//                   report is bit-identical to the in-process run, the
-//                   host's thread budget is divided across the workers
-//                   (never N x all cores), and the workers share the
-//                   --lp-cache directory (a warm distributed re-run
-//                   performs zero simplex solves).  0 (default) =
-//                   in-process.
 //   --metrics FILE  write the run's counters as JSON (schema
 //                   "omn-metrics-v1", see docs/EXPERIMENTS.md): grid
 //                   size, LP solves, cache traffic, saved-by-reuse,
-//                   wall/cpu seconds, threads, and — distributed —
-//                   workers, shards, and the per-worker thread cap.
-//                   The committed BENCH_*.json perf trajectories and the
-//                   CI perf gate are built from these files.
+//                   wall seconds and threads.  The committed
+//                   BENCH_*.json perf trajectories and the CI perf gate
+//                   are built from these files.
 //   --trace FILE    record hierarchical spans (designer stages, LP
 //                   phases, cache traffic, ExecutionContext chunks) and
 //                   write a Chrome trace-event JSON timeline at exit —
-//                   load FILE in chrome://tracing or Perfetto.  With
-//                   --workers N the workers record too (the flag
-//                   propagates as `--trace-spans` on their argv) and
-//                   their spans merge into the same file as per-pid
-//                   lanes.  Tracing never changes work: the perf gate
-//                   runs with --trace on and exact-matches the
-//                   counters against an untraced run.
-//
-// Worker mode: parse_args() routes `<bench> worker [--lp-cache DIR]` to
-// omn::dist::worker_main before any flag parsing, so every bench built on
-// this header is automatically its own distributed worker binary.
+//                   load FILE in chrome://tracing or Perfetto.  Tracing
+//                   never changes work: the perf gate runs with --trace
+//                   on and exact-matches the counters against an
+//                   untraced run.
 
 #include <cstdio>
 #include <cstdlib>
@@ -60,8 +44,6 @@
 
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/lp_cache.hpp"
-#include "omn/dist/dist_sweep.hpp"
-#include "omn/dist/worker.hpp"
 #include "omn/obs/chrome_trace.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/json.hpp"
@@ -78,8 +60,6 @@ struct BenchArgs {
   bool smoke = false;
   /// Cache directory from --lp-cache, empty = no cache.
   std::string lp_cache_dir;
-  /// Worker processes from --workers, 0 = run the sweep in-process.
-  std::size_t workers = 0;
   /// Output path from --metrics, empty = no metrics file.
   std::string metrics_path;
   /// Output path from --trace, empty = tracing off.
@@ -89,11 +69,6 @@ struct BenchArgs {
 inline BenchArgs parse_args(
     int argc, char** argv, const char* bench_name,
     std::initializer_list<std::string_view> unsupported = {}) {
-  if (argc >= 2 && std::strcmp(argv[1], "worker") == 0) {
-    // Distributed worker mode: stdin/stdout belong to the frame protocol,
-    // so enter the loop before any bench code can print.
-    std::exit(dist::worker_main(argc, argv));
-  }
   BenchArgs args;
   args.bench_name = bench_name;
   const auto parse_count = [&](const char* flag,
@@ -101,7 +76,7 @@ inline BenchArgs parse_args(
     // Strict: digits only, overflow rejected.  A typo must not silently
     // become 0 = "all cores" (which would invert a serial run), and an
     // out-of-range value must not wrap (strtoul would turn
-    // --workers 18446744073709551617 into 1 — util::parse_count cannot).
+    // --threads 18446744073709551617 into 1 — util::parse_count cannot).
     const std::optional<std::size_t> parsed = util::parse_count(value);
     if (!parsed.has_value()) {
       std::fprintf(stderr, "%s: bad %s value '%s'\n", bench_name, flag, value);
@@ -121,8 +96,6 @@ inline BenchArgs parse_args(
       args.smoke = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       args.threads = parse_count("--threads", argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      args.workers = parse_count("--workers", argv[++i]);
     } else if (std::strcmp(argv[i], "--lp-cache") == 0 && i + 1 < argc) {
       args.lp_cache_dir = argv[++i];
       if (args.lp_cache_dir.empty()) {
@@ -141,14 +114,13 @@ inline BenchArgs parse_args(
         std::fprintf(stderr, "%s: --trace needs a file path\n", bench_name);
         std::exit(2);
       }
-      // Record from here on; the merged Chrome trace (this process plus
-      // any dist worker lanes) is written once, at exit.
+      // Record from here on; the Chrome trace is written once, at exit.
       util::Trace::set_enabled(true);
-      obs::export_merged_trace_at_exit(args.trace_path, bench_name);
+      obs::export_trace_at_exit(args.trace_path, bench_name);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--smoke] [--lp-cache DIR] "
-                   "[--workers N] [--metrics FILE] [--trace FILE]\n",
+                   "[--metrics FILE] [--trace FILE]\n",
                    bench_name);
       std::exit(2);
     }
@@ -181,7 +153,6 @@ inline void write_metrics(const BenchArgs& args) {
   envelope.set("tool", args.bench_name);
   envelope.set("smoke", args.smoke);
   envelope.set("threads", args.threads);
-  envelope.set("workers", args.workers);
   envelope.set("lp_cache", args.lp_cache_dir);
   envelope.set("sweeps", metrics_records());
   std::ofstream out(args.metrics_path, std::ios::trunc);
@@ -197,31 +168,17 @@ inline void write_metrics(const BenchArgs& args) {
 /// command line, the --lp-cache cache installed on the context) and prints
 /// the standard summary: LP solves against the grid size, so the effect of
 /// the reuse planner and the cache is visible in every bench run, not just
-/// where a bench asserts on it.  With --workers N the grid is sharded
-/// across N self-spawned worker processes instead (bit-identical cells;
-/// the summary gains a shard/worker clause).  With --metrics the run's
-/// counters are appended to the metrics file.
+/// where a bench asserts on it.  With --metrics the run's counters are
+/// appended to the metrics file.
 inline core::SweepReport run_sweep(const core::DesignSweep& sweep,
                                    core::SweepOptions options,
                                    const BenchArgs& args, const char* label) {
   options.threads = args.threads;
-  core::SweepReport report;
-  dist::DistStats dist_stats;
-  if (args.workers > 0) {
-    dist::DistOptions dist_options;
-    dist_options.workers = args.workers;
-    dist_options.worker_command =
-        dist::self_worker_command(args.lp_cache_dir);
-    dist_options.stats = &dist_stats;
-    report = sweep.run_distributed(options, dist_options);
-  } else {
-    util::ExecutionContext context =
-        core::DesignSweep::default_context(options);
-    if (!args.lp_cache_dir.empty()) {
-      context.set_service(std::make_shared<core::LpCache>(args.lp_cache_dir));
-    }
-    report = sweep.run(options, context);
+  util::ExecutionContext context = core::DesignSweep::default_context(options);
+  if (!args.lp_cache_dir.empty()) {
+    context.set_service(std::make_shared<core::LpCache>(args.lp_cache_dir));
   }
+  const core::SweepReport report = sweep.run(options, context);
   const std::size_t cells = report.cells.size();
   std::printf("%s: %zu cells | %zu LP solves for %zu cells "
               "(%zu distinct LP configs, %zu saved by reuse",
@@ -231,21 +188,12 @@ inline core::SweepReport run_sweep(const core::DesignSweep& sweep,
     std::printf(", cache %zu hits / %zu misses", report.lp.cache_hits,
                 report.lp.cache_misses);
   }
-  std::printf(") | %.2fs (threads=%zu%s)", report.wall_seconds, args.threads,
-              args.threads == 0 ? " = all" : "");
-  if (args.workers > 0) {
-    std::printf(" | %zu workers x %zu threads, %zu shards (%zu reassigned), "
-                "%.2fs cpu",
-                dist_stats.workers_spawned, dist_stats.threads_per_worker,
-                dist_stats.shards_total, dist_stats.shards_reassigned,
-                report.cpu_seconds);
-  }
-  std::printf("\n\n");
+  std::printf(") | %.2fs (threads=%zu%s)\n\n", report.wall_seconds,
+              args.threads, args.threads == 0 ? " = all" : "");
 
   if (!args.metrics_path.empty()) {
     util::Json record = core::to_json(report);
     record.set("label", label);
-    if (args.workers > 0) record.set("dist", dist::to_json(dist_stats));
     metrics_records().push(std::move(record));
     write_metrics(args);
   }

@@ -27,8 +27,8 @@
 // pivot counters (lp_iterations / lp_phase1_iterations /
 // lp_refactorizations / lp_warm_start_hits) that the perf gate
 // exact-matches against BENCH_e14.json, plus wall_seconds under the
-// usual generous ratio guard.  --threads, --workers and --lp-cache exit
-// 2: the kernel runs single-threaded, uncached solves by construction.
+// usual generous ratio guard.  --threads and --lp-cache exit 2: the
+// kernel runs single-threaded, uncached solves by construction.
 
 #include <cstdio>
 #include <functional>
@@ -86,7 +86,7 @@ double per_pivot_us(const Timed& timed) {
 int main(int argc, char** argv) {
   using namespace omn;
   const auto args = bench::parse_args(argc, argv, "e14_lp_kernel",
-                                      {"--threads", "--workers", "--lp-cache"});
+                                      {"--threads", "--lp-cache"});
   // The dense oracle is O(m * (n + m)) PER PIVOT in both time and it holds
   // the full tableau in memory, so the top size is capped where that stays
   // minutes, not hours (96 sinks ~ a 3k x 6k tableau).  The revised core

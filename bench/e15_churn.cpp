@@ -20,9 +20,8 @@
 // exact counters via BENCH_e15.json.  Each --metrics record is the
 // session's own ServeStats record (serve::to_json).
 //
-// Flags: see bench_common.hpp.  --workers and --lp-cache exit 2: one
-// churn stream is inherently sequential, and the warm variant's cache
-// must stay memory-only for the committed counters to be
+// Flags: see bench_common.hpp.  --lp-cache exits 2: the warm variant's
+// cache must stay memory-only for the committed counters to be
 // machine-independent.
 
 #include <cstdio>
@@ -67,7 +66,7 @@ omn::serve::ServeStats replay(const omn::net::OverlayInstance& base,
 
 int main(int argc, char** argv) {
   const omn::bench::BenchArgs args = omn::bench::parse_args(
-      argc, argv, "e15_churn", {"--workers", "--lp-cache"});
+      argc, argv, "e15_churn", {"--lp-cache"});
 
   std::vector<int> sink_sizes;
   if (args.smoke) {

@@ -9,13 +9,11 @@
 // and threads:0 rows of (c)/(d) for the wall-clock speedup; on a machine
 // with >= 4 cores, attempts >= 8 should show >= 2x.
 //
-// Invoked with any bench_common flag (--smoke / --threads / --workers /
-// --lp-cache) the binary instead runs grid (d) once through
-// bench::run_sweep — in-process or sharded across worker processes —
-// and prints the standard sweep summary.  That mode is what the CI
-// distributed smoke job drives twice over a shared --lp-cache directory
-// to assert a warm distributed sweep performs 0 LP solves.  `e4_scaling
-// worker` is the matching self-spawned worker entry.
+// Invoked with any bench_common flag (--smoke / --threads / --lp-cache)
+// the binary instead runs grid (d) once through bench::run_sweep and
+// prints the standard sweep summary.  That mode is what the CI LP-cache
+// smoke job drives twice over one --lp-cache directory to assert a warm
+// sweep performs 0 LP solves.
 
 #include <benchmark/benchmark.h>
 
@@ -141,7 +139,7 @@ BENCHMARK(BM_DesignSweepGrid)
     ->UseRealTime();
 
 // The (d) grid as a one-shot bench_common sweep: the shape every bench
-// shares, here also the vehicle for the distributed smoke path.
+// shares, here also the vehicle for the LP-cache smoke path.
 int run_sweep_grid(const omn::bench::BenchArgs& args) {
   const int seeds = omn::bench::smoke_scaled(args, 6, 2);
   const int sinks = omn::bench::smoke_scaled(args, 16, 8);
@@ -177,7 +175,6 @@ bool wants_sweep_mode(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (wants_sweep_mode(argc, argv)) {
-    // parse_args also routes `e4_scaling worker` into the worker loop.
     return run_sweep_grid(omn::bench::parse_args(argc, argv, "e4_scaling"));
   }
   ::benchmark::Initialize(&argc, argv);

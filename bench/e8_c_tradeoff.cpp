@@ -51,19 +51,13 @@ int main(int argc, char** argv) {
   }
   const core::SweepReport report =
       bench::run_sweep(sweep, {}, args, "E8 sweep");
-  // Rounding-only grid: exactly one LP is needed, whether solved fresh or
-  // (on a warm --lp-cache run) served from the cache.  Distributed, each
-  // shard plans independently, so the budget is one per shard of the
-  // engine's automatic plan — still far below one per cell, and a shared
-  // warm --lp-cache collapses the solves to 0 again.
-  const std::size_t lp_budget =
-      args.workers == 0 ? 1 : dist::kDefaultShardsPerWorker * args.workers;
-  if (report.lp.solves + report.lp.cache_hits < 1 ||
-      report.lp.solves + report.lp.cache_hits > lp_budget) {
+  // Rounding-only grid: exactly one LP per run, whether solved fresh or
+  // (on a warm --lp-cache run) served from the cache.
+  if (report.lp.solves + report.lp.cache_hits != 1) {
     std::fprintf(stderr,
-                 "E8: rounding-only grid must reuse the LP solve "
-                 "(budget %zu), got %zu solves + %zu cache hits\n",
-                 lp_budget, report.lp.solves, report.lp.cache_hits);
+                 "E8: rounding-only grid must obtain exactly one LP, got "
+                 "%zu solves + %zu cache hits\n",
+                 report.lp.solves, report.lp.cache_hits);
     return 1;
   }
   if (!report.cell(0, 0).result.ok()) {

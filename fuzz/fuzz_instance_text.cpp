@@ -1,9 +1,9 @@
 // Fuzz target: the two text loaders — omn-instance files
 // (net::from_text, v1 and v2) and omn-design files (design_from_text,
 // meta block included).  Both read operator-controlled files named on the
-// omn_design command line, and design text also arrives inside dist grid
-// payloads, so "reject with an exception" is the only acceptable failure
-// mode: no crash, no hang, no silently truncated numeric field.
+// omn_design command line, so "reject with an exception" is the only
+// acceptable failure mode: no crash, no hang, no silently truncated
+// numeric field.
 //
 // The same input bytes are offered to both loaders — the formats share
 // the token-stream style, so one corpus mutates into both grammars.  The

@@ -31,7 +31,7 @@
 // LP cache: when a core::LpCache service is installed on the execution
 // context (context.set_service(...)), the planner consults it before
 // solving, so repeated sweeps over the same topology — across run()
-// calls, benches, or processes sharing a cache directory — skip the LP
+// calls, benches, or repeat runs over one cache directory — skip the LP
 // work entirely; SweepReport::lp (an LpWork) makes that observable, and a
 // warm cache drives lp.solves to 0.  Designs stay bit-identical
 // with the cache on or off.
@@ -49,10 +49,6 @@
 #include "omn/net/instance.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/json.hpp"
-
-namespace omn::dist {
-struct DistOptions;  // defined in omn/dist/dist_sweep.hpp (omn::dist)
-}  // namespace omn::dist
 
 namespace omn::core {
 
@@ -99,29 +95,12 @@ struct SweepReport {
   /// otherwise.
   LpWork lp;
   /// Wall-clock seconds for the whole grid (serial-vs-parallel speedup is
-  /// the ratio of two runs' wall_seconds).  For a merged distributed
-  /// report this is the end-to-end time the caller observed when it
-  /// recorded one, otherwise the max over the merged shards' walls (the
-  /// shards ran concurrently).
+  /// the ratio of two runs' wall_seconds).
   double wall_seconds = 0.0;
-  /// Machine-seconds spent producing the cells: equals wall_seconds for a
-  /// single-process run; for a merged report it is the SUM of the shards'
-  /// walls, so (cpu_seconds / wall_seconds) reads as the effective
-  /// parallelism across workers.
-  double cpu_seconds = 0.0;
 
   const SweepCell& cell(std::size_t instance, std::size_t config) const {
     return cells.at(instance * num_configs + config);
   }
-
-  /// Merges a shard report (cells covering any subset of this report's
-  /// grid) into this one: each shard cell lands at its global
-  /// instance-major slot, the LP work adds up, wall_seconds takes the
-  /// max (shards run concurrently) and cpu_seconds the sum of the shards'
-  /// walls.  The receiver must carry the full grid dimensions; its cells
-  /// vector is sized on first merge.  Throws std::invalid_argument when
-  /// the shard's dimensions disagree or a cell indexes outside the grid.
-  void merge(const SweepReport& shard);
 
   /// Cells whose LP solve was shared (LP-reuse planner) or served from the
   /// cache instead of running the simplex: cells - lp.solves -
@@ -131,7 +110,7 @@ struct SweepReport {
 };
 
 /// The report's counters and timings as one JSON object (cells, grid
-/// dimensions, LP solve/cache counters, saved_by_reuse, wall/cpu
+/// dimensions, LP solve/cache counters, saved_by_reuse, wall
 /// seconds) — the schema the --metrics flag and the committed
 /// BENCH_*.json perf trajectories are built from; see
 /// docs/EXPERIMENTS.md "Metrics JSON schema".  Per-cell results are NOT
@@ -159,8 +138,7 @@ class DesignSweep {
   const std::string& instance_label(std::size_t i) const {
     return instances_.at(i).first;
   }
-  /// The config added c-th (omn::dist serializes the grid to workers
-  /// through these accessors).
+  /// The config added c-th.
   const DesignerConfig& config(std::size_t c) const {
     return configs_.at(c).second;
   }
@@ -176,29 +154,6 @@ class DesignSweep {
   SweepReport run(const SweepOptions& options = {}) const;
   SweepReport run(const SweepOptions& options,
                   const util::ExecutionContext& context) const;
-
-  /// Runs the contiguous instance-major cell range [begin, end) and
-  /// returns a partial report: cells.size() == end - begin (each cell
-  /// keeping its GLOBAL instance/config indices and labels), the grid
-  /// dimensions and lp_configs describing the FULL grid, and the LP
-  /// counters covering only this range's solves.  Every cell is
-  /// bit-identical to the same cell of a full run() — ranges only change
-  /// which (instance, LP config) solves this call performs — which is the
-  /// property the distributed engine's shards rest on.  run() is
-  /// run_range(0, num_cells()).  Throws std::out_of_range on a bad range.
-  SweepReport run_range(std::size_t begin, std::size_t end,
-                        const SweepOptions& options,
-                        const util::ExecutionContext& context) const;
-
-  /// Shards this grid across worker processes (omn::dist): deterministic
-  /// shard plan, frame protocol over worker stdin/stdout, failed-worker
-  /// reassignment, optional resumable per-shard checkpoints, and a merged
-  /// report whose cells are bit-identical to run() (timing fields
-  /// excepted).  DECLARED here but DEFINED in the omn::dist library —
-  /// callers must link omn::dist; the core library itself never depends
-  /// on process plumbing.  See omn/dist/dist_sweep.hpp.
-  SweepReport run_distributed(const SweepOptions& options,
-                              const dist::DistOptions& dist_options) const;
 
   /// The context run(options) uses: serial() for explicitly serial sweeps
   /// (avoids constructing the global pool), ExecutionContext::global()

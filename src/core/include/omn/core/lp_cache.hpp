@@ -30,10 +30,11 @@
 //    and OverlayDesigner consult the context's service automatically.
 //  - on-disk (optional): one versioned binary file per entry in a cache
 //    directory, named by the key's hex digest.  Writes go to a unique
-//    temp file followed by an atomic rename, so concurrent sweep
-//    processes can share one directory without readers ever seeing a
-//    partial entry.  Corrupt, truncated, or version-mismatched entries
-//    are rejected (and re-solved), never trusted.
+//    temp file followed by an atomic rename, so two processes (say, two
+//    omn_design runs given the same --lp-cache) can share one directory
+//    without readers ever seeing a partial entry.  Corrupt, truncated,
+//    or version-mismatched entries are rejected (and re-solved), never
+//    trusted.
 //
 // Entry format v2 (all fields little-endian; see docs/ARCHITECTURE.md):
 //
@@ -57,11 +58,10 @@
 // fetch that basis and start from it instead of from scratch.  This is
 // off by default at every call site because a warm-started solve may
 // return a *different optimal vertex* than a cold one, which would break
-// the bit-identity guarantees (serial vs parallel, cache on/off,
-// distributed vs serial) the rest of the stack advertises.  Only a basis
-// with one owner over time opts in: OverlayDesigner::design with
-// DesignerConfig::lp_warm_start, i.e. core::DesignState and
-// `omn_design serve --warm-start`.  DesignSweep rejects warm configs.
+// the bit-identity guarantees (serial vs parallel, cache on/off) the
+// rest of the stack advertises.  Only a basis with one owner over time
+// opts in: OverlayDesigner::design with DesignerConfig::lp_warm_start,
+// i.e. core::DesignState and `omn_design serve --warm-start`.  DesignSweep rejects warm configs.
 
 #include <cstdint>
 #include <iosfwd>

@@ -1,12 +1,11 @@
 #pragma once
 // LpWork: the LP work tally — the one place a work counter is defined.
 //
-// DesignSweep (both paths), ServeSession (and E15 through it) and the dist
-// shard merge all tally LP work here.  Only this header and lp_work.cpp
-// list the counters, hold the accumulation rule (LpWork::of), merge (+=),
-// name the metrics JSON keys and encode the wire bytes.  Adding a counter
-// means a member here and a row in lp_work.cpp's key table, plus a
-// dist::kFrameVersion bump because the report frame grows.
+// DesignSweep and ServeSession (and E15 through it) tally LP work here.
+// Only this header and lp_work.cpp list the counters, hold the
+// accumulation rule (LpWork::of), sum tallies (+=) and name the metrics
+// JSON keys.  Adding a counter means a member here and a row in
+// lp_work.cpp's key table.
 
 #include <cstddef>
 
@@ -15,8 +14,6 @@ struct Solution;
 }  // namespace omn::lp
 
 namespace omn::util {
-class ByteReader;
-class ByteWriter;
 class Json;
 }  // namespace omn::util
 
@@ -65,11 +62,6 @@ struct LpWork {
   };
   /// Sets the counters on `record` (a JSON object) under `keys`.
   void write_json(util::Json& record, Keys keys) const;
-
-  /// Every counter as a u64, in kSweep key order (the dist report frame).
-  void encode(util::ByteWriter& w) const;
-  /// Reads what encode() wrote; false on truncated input.
-  bool decode(util::ByteReader& r);
 };
 
 }  // namespace omn::core

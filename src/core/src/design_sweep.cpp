@@ -36,30 +36,6 @@ util::ExecutionContext DesignSweep::default_context(
                               : util::ExecutionContext::global();
 }
 
-void SweepReport::merge(const SweepReport& shard) {
-  if (shard.num_instances != num_instances ||
-      shard.num_configs != num_configs) {
-    throw std::invalid_argument("SweepReport::merge: grid dimensions differ");
-  }
-  const std::size_t total = num_instances * num_configs;
-  if (cells.size() != total) cells.resize(total);
-  for (const SweepCell& cell : shard.cells) {
-    const std::size_t index = cell.instance_index * num_configs +
-                              cell.config_index;
-    if (cell.instance_index >= num_instances ||
-        cell.config_index >= num_configs) {
-      throw std::invalid_argument("SweepReport::merge: cell outside the grid");
-    }
-    cells[index] = cell;
-  }
-  if (shard.lp_configs > lp_configs) lp_configs = shard.lp_configs;
-  lp += shard.lp;
-  // Shards run concurrently, so the merged wall is the slowest shard;
-  // the merged cpu is the total machine time across all of them.
-  if (shard.wall_seconds > wall_seconds) wall_seconds = shard.wall_seconds;
-  cpu_seconds += shard.cpu_seconds;
-}
-
 std::size_t SweepReport::saved_by_reuse() const {
   const std::size_t spent = lp.solves + lp.cache_hits;
   return cells.size() > spent ? cells.size() - spent : 0;
@@ -74,7 +50,6 @@ util::Json to_json(const SweepReport& report) {
   report.lp.write_json(j, LpWork::Keys::kSweep);
   j.set("saved_by_reuse", report.saved_by_reuse());
   j.set("wall_seconds", report.wall_seconds);
-  j.set("cpu_seconds", report.cpu_seconds);
   return j;
 }
 
@@ -84,20 +59,10 @@ SweepReport DesignSweep::run(const SweepOptions& options) const {
 
 SweepReport DesignSweep::run(const SweepOptions& options,
                              const util::ExecutionContext& context) const {
-  return run_range(0, num_cells(), options, context);
-}
-
-SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
-                                   const SweepOptions& options,
-                                   const util::ExecutionContext& context) const {
-  if (begin > end || end > num_cells()) {
-    throw std::out_of_range("DesignSweep::run_range: bad cell range");
-  }
   SweepReport report;
   report.num_instances = instances_.size();
   report.num_configs = configs_.size();
-  const std::size_t count = end - begin;
-  report.cells.resize(count);
+  report.cells.resize(num_cells());
 
   util::Timer wall;
   const util::ExecutionContext::ForOptions fan{.max_parallelism =
@@ -107,8 +72,6 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
   // Group configs by the exact options that shape the LP relaxation and
   // its solve; everything else (seed, c, attempts, pruning, ...) only
   // affects rounding, so configs in one group share a solve per instance.
-  // Groups are computed over the FULL config list so lp_configs (and the
-  // group ids) are identical for every range of the same grid.
   struct LpKey {
     LpBuildOptions build;
     lp::SolveOptions solve;
@@ -125,51 +88,27 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
     group_of_config[c] = g;
   }
   report.lp_configs = groups.size();
-  if (count == 0) {
-    report.wall_seconds = wall.seconds();
-    report.cpu_seconds = report.wall_seconds;
-    return report;
-  }
 
   // The cross-run LP cache, when the caller installed one on the context:
   // a warm cache removes every simplex run from the sweep.
   const std::shared_ptr<LpCache> cache = context.find_service<LpCache>();
 
-  // Phase 1: one LP build per (instance, distinct LP config) PAIR THE
-  // RANGE ACTUALLY TOUCHES, with the solve served from the cache when
-  // possible.  For the full range this is every (instance, group) pair in
-  // (instance, group) order — exactly the pre-range behaviour.
+  // Phase 1: one LP build per (instance, distinct LP config) pair, in
+  // (instance, group) order at slot i * groups.size() + g, with the solve
+  // served from the cache when possible.
   struct SolvedLp {
     OverlayLp lp;
     lp::Solution solution;
     bool cache_hit = false;
     double seconds = 0.0;
   };
-  constexpr std::size_t kUnused = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> solved_index(instances_.size() * groups.size(),
-                                        kUnused);
-  std::vector<std::size_t> needed;  // flat (i, g) keys, lexicographic
-  for (std::size_t index = begin; index < end; ++index) {
-    const std::size_t i = index / configs_.size();
-    const std::size_t g = group_of_config[index % configs_.size()];
-    const std::size_t key = i * groups.size() + g;
-    if (solved_index[key] == kUnused) {
-      solved_index[key] = 0;  // mark; the real slot is assigned below
-      needed.push_back(key);
-    }
-  }
-  // Slots follow `needed`'s first-touch scan order — a pure function of
-  // the range and the config list (NOT necessarily sorted by (i, g):
-  // group ids repeat non-monotonically when configs interleave groups).
-  for (std::size_t n = 0; n < needed.size(); ++n) solved_index[needed[n]] = n;
-
   // Each task writes only its own slot; the work is tallied after the join.
-  std::vector<SolvedLp> solved(needed.size());
+  std::vector<SolvedLp> solved(instances_.size() * groups.size());
   context.parallel_for(
       solved.size(),
       [&](std::size_t t) {
-        const std::size_t i = needed[t] / groups.size();
-        const std::size_t g = needed[t] % groups.size();
+        const std::size_t i = t / groups.size();
+        const std::size_t g = t % groups.size();
         OMN_TRACE_SPAN([&] {
           return "sweep.lp_group i" + std::to_string(i) + " g" +
                  std::to_string(g);
@@ -193,17 +132,16 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
   // rounding attempts reuse the same context (and pool), so a sweep never
   // oversubscribes the machine.
   context.parallel_for(
-      count,
+      report.cells.size(),
       [&](std::size_t t) {
         SweepCell& cell = report.cells[t];
-        const std::size_t i = (begin + t) / configs_.size();
-        const std::size_t c = (begin + t) % configs_.size();
+        const std::size_t i = t / configs_.size();
+        const std::size_t c = t % configs_.size();
         cell.instance_index = i;
         cell.config_index = c;
         cell.instance_label = instances_[i].first;
         cell.config_label = configs_[c].first;
-        OMN_TRACE_SPAN(
-            [&] { return "sweep.cell " + std::to_string(begin + t); });
+        OMN_TRACE_SPAN([&] { return "sweep.cell " + std::to_string(t); });
         DesignerConfig config = configs_[c].second;
         if (options.reseed_per_instance) {
           config.seed += static_cast<std::uint64_t>(i);
@@ -215,8 +153,7 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
         // at both levels — one pool, work-stealing, no oversubscription.
         // The design is bit-identical either way.
         if (options.threads != 0) config.threads = 1;
-        const SolvedLp& s =
-            solved[solved_index[i * groups.size() + group_of_config[c]]];
+        const SolvedLp& s = solved[i * groups.size() + group_of_config[c]];
         util::Timer cell_timer;
         cell.result = OverlayDesigner(config).design_from_lp(
             instances_[i].second, s.lp, s.solution, context);
@@ -226,7 +163,6 @@ SweepReport DesignSweep::run_range(std::size_t begin, std::size_t end,
       },
       fan);
   report.wall_seconds = wall.seconds();
-  report.cpu_seconds = report.wall_seconds;
   return report;
 }
 

@@ -1,11 +1,9 @@
 #include "omn/core/lp_work.hpp"
 
-#include <cstdint>
 #include <span>
 
 #include "omn/core/designer.hpp"
 #include "omn/lp/simplex.hpp"
-#include "omn/util/bytes.hpp"
 #include "omn/util/json.hpp"
 
 namespace omn::core {
@@ -17,7 +15,7 @@ struct Counter {
   std::size_t LpWork::*field;
 };
 
-// Every counter, in the kSweep key order — which is also the wire order.
+// Every counter, in the kSweep key order.
 constexpr Counter kCounters[] = {
     {"lp_solves", &LpWork::solves},
     {"lp_cache_hits", &LpWork::cache_hits},
@@ -79,19 +77,6 @@ void LpWork::write_json(util::Json& record, Keys keys) const {
       keys == Keys::kSweep ? std::span<const Counter>(kCounters)
                            : std::span<const Counter>(kSessionCounters);
   for (const Counter& c : counters) record.set(c.key, this->*c.field);
-}
-
-void LpWork::encode(util::ByteWriter& w) const {
-  for (const Counter& c : kCounters) w.u64(this->*c.field);
-}
-
-bool LpWork::decode(util::ByteReader& r) {
-  for (const Counter& c : kCounters) {
-    std::uint64_t value = 0;
-    if (!r.u64(value)) return false;
-    this->*c.field = static_cast<std::size_t>(value);
-  }
-  return true;
 }
 
 }  // namespace omn::core

@@ -20,7 +20,7 @@
 
 namespace omn::obs {
 
-/// Renders the merged timeline as Chrome trace-event JSON (compact, one
+/// Renders the timeline as Chrome trace-event JSON (compact, one
 /// line).  `normalize_timestamps` substitutes per-thread ticks for
 /// microseconds (deterministic bytes; goldens only).
 std::string chrome_trace_json(const std::vector<TimelineProcess>& processes,
@@ -31,17 +31,15 @@ std::string chrome_trace_json(const std::vector<TimelineProcess>& processes,
 bool write_chrome_trace(const std::string& path,
                         const std::vector<TimelineProcess>& processes);
 
-/// Drains the calling process (pid 0, labeled `process_name`), collects
-/// every deposited child timeline (dist worker lanes), and writes the
-/// merged Chrome trace to `path`.  This is the whole of what a --trace
-/// flag has to do at process end; returns false on I/O failure.
-bool export_merged_trace(const std::string& path,
-                         const std::string& process_name);
+/// Drains the calling process and writes it to `path` as one Chrome
+/// trace lane (pid 0, labeled `process_name`).  This is the whole of what
+/// a --trace flag has to do at process end; returns false on I/O failure.
+bool export_trace(const std::string& path, const std::string& process_name);
 
-/// Registers an atexit hook that runs export_merged_trace(path,
-/// process_name) — how --trace flags arrange the export without every
-/// exit path calling it.  Later calls just update the path/name.
-void export_merged_trace_at_exit(const std::string& path,
-                                 const std::string& process_name);
+/// Registers an atexit hook that runs export_trace(path, process_name) —
+/// how --trace flags arrange the export without every exit path calling
+/// it.  Later calls just update the path/name.
+void export_trace_at_exit(const std::string& path,
+                          const std::string& process_name);
 
 }  // namespace omn::obs

@@ -5,11 +5,8 @@
 // A ProcessTrace is everything one process drained from its trace layer:
 // per-thread event streams (tick-ordered) plus the final values of the
 // named counter registry.  A TimelineProcess places one ProcessTrace on
-// the merged multi-process timeline: the main process is pid 0 at offset
-// 0; each dist worker gets pid (slot + 1) and a clock offset measured on
-// the parent's clock when its scheduler thread started, so worker spans
-// land roughly where they happened in parent time (the offset is for
-// visualization only — nothing computes with cross-process timestamps).
+// the exported timeline as one pid lane with an optional clock offset
+// (the exporters in this repo write a single lane: pid 0, offset 0).
 
 #include <cstdint>
 #include <string>
@@ -22,7 +19,7 @@ namespace omn::obs {
 
 /// One process's drained trace: thread event streams + counter finals.
 struct ProcessTrace {
-  /// Process label shown in the trace viewer ("e4_scaling", "worker 1").
+  /// Process label shown in the trace viewer ("e4_scaling", "omn_design").
   std::string name;
   /// Per-thread events in tid order; events within a thread are in tick
   /// order (the order util::Trace::drain produced them).
@@ -31,11 +28,11 @@ struct ProcessTrace {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
-/// A ProcessTrace placed on the merged timeline.
+/// A ProcessTrace placed on the exported timeline.
 struct TimelineProcess {
   std::uint32_t pid = 0;
-  /// Added to every event's `micros` at export (parent-clock placement
-  /// of this process's trace epoch).  Ignored in normalized exports.
+  /// Added to every event's `micros` at export (placement of this
+  /// process's trace epoch).  Ignored in normalized exports.
   std::int64_t offset_micros = 0;
   ProcessTrace trace;
 };
@@ -43,11 +40,5 @@ struct TimelineProcess {
 /// Drains the calling process's trace layer (spans since the previous
 /// drain + current counter values) into a ProcessTrace labeled `name`.
 ProcessTrace drain_process_trace(std::string name);
-
-/// Appends `from`'s events onto `into`, matching threads by tid (ticks
-/// keep increasing across drains of the same process, so concatenation
-/// preserves per-thread order).  Counters take the maximum per name —
-/// they are cumulative snapshots, so the latest drain dominates.
-void merge_process_trace(ProcessTrace& into, const ProcessTrace& from);
 
 }  // namespace omn::obs

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <utility>
 
-#include "omn/obs/collector.hpp"
 #include "omn/util/json.hpp"
 
 namespace omn::obs {
@@ -116,19 +115,13 @@ std::string* g_export_name = nullptr;
 
 }  // namespace
 
-bool export_merged_trace(const std::string& path,
-                         const std::string& process_name) {
-  std::vector<TimelineProcess> processes;
-  processes.push_back(
-      TimelineProcess{0, 0, drain_process_trace(process_name)});
-  for (TimelineProcess& child : take_child_traces()) {
-    processes.push_back(std::move(child));
-  }
-  return write_chrome_trace(path, processes);
+bool export_trace(const std::string& path, const std::string& process_name) {
+  return write_chrome_trace(
+      path, {TimelineProcess{0, 0, drain_process_trace(process_name)}});
 }
 
-void export_merged_trace_at_exit(const std::string& path,
-                                 const std::string& process_name) {
+void export_trace_at_exit(const std::string& path,
+                          const std::string& process_name) {
   const bool first = g_export_path == nullptr;
   if (first) {
     g_export_path = new std::string(path);
@@ -139,7 +132,7 @@ void export_merged_trace_at_exit(const std::string& path,
   }
   if (first) {
     std::atexit([] {
-      if (!export_merged_trace(*g_export_path, *g_export_name)) {
+      if (!export_trace(*g_export_path, *g_export_name)) {
         std::fprintf(stderr, "omn trace: cannot write %s\n",
                      g_export_path->c_str());
       }

@@ -1,6 +1,6 @@
 #include "omn/obs/timeline.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace omn::obs {
 
@@ -10,35 +10,6 @@ ProcessTrace drain_process_trace(std::string name) {
   trace.threads = omn::util::Trace::drain();
   trace.counters = omn::util::counters_snapshot();
   return trace;
-}
-
-void merge_process_trace(ProcessTrace& into, const ProcessTrace& from) {
-  if (into.name.empty()) into.name = from.name;
-  for (const auto& thread : from.threads) {
-    auto found = std::find_if(
-        into.threads.begin(), into.threads.end(),
-        [&](const omn::util::ThreadTrace& t) { return t.tid == thread.tid; });
-    if (found == into.threads.end()) {
-      into.threads.push_back(thread);
-    } else {
-      found->events.insert(found->events.end(), thread.events.begin(),
-                           thread.events.end());
-    }
-  }
-  std::sort(into.threads.begin(), into.threads.end(),
-            [](const omn::util::ThreadTrace& a,
-               const omn::util::ThreadTrace& b) { return a.tid < b.tid; });
-  for (const auto& [name, value] : from.counters) {
-    auto found = std::find_if(
-        into.counters.begin(), into.counters.end(),
-        [&](const auto& entry) { return entry.first == name; });
-    if (found == into.counters.end()) {
-      into.counters.emplace_back(name, value);
-    } else {
-      found->second = std::max(found->second, value);
-    }
-  }
-  std::sort(into.counters.begin(), into.counters.end());
 }
 
 }  // namespace omn::obs

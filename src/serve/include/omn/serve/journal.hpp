@@ -10,7 +10,7 @@
 //
 // Format v1 (fixed-width little-endian via util::ByteWriter, one
 // content_checksum trailer per section — the same conventions as the
-// .lpsol entries and the dist frame protocol):
+// .lpsol entries):
 //
 //   header:
 //     u32 magic 0x4A4E4D4F ("OMNJ")    u32 version (1)

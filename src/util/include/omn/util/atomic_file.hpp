@@ -1,13 +1,13 @@
 #pragma once
 // Atomic whole-file writes for shared directories.
 //
-// Every on-disk store that concurrent processes share (the LP cache's
-// .lpsol entries, the distributed sweep's .ckpt shard checkpoints) uses
-// the same protocol: serialize fully in memory, write to a uniquely
-// named temp file beside the destination, then rename into place — so a
-// reader never observes a partial entry and concurrent writers of the
-// same path simply race to an identical result.  This header is that
-// protocol's single home.
+// Every on-disk store that two processes may share (the LP cache's .lpsol
+// entries) or that must never be seen half-written (serve journal
+// snapshots) uses the same protocol: serialize fully in memory, write to
+// a uniquely named temp file beside the destination, then rename into
+// place — so a reader never observes a partial entry and concurrent
+// writers of the same path simply race to an identical result.  This
+// header is that protocol's single home.
 
 #include <string>
 #include <string_view>

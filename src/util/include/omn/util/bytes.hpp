@@ -1,13 +1,12 @@
 #pragma once
 // Fixed-width little-endian byte (de)serialization.
 //
-// Every persisted or wire-crossing binary format in the codebase — LP
-// cache entries, the distributed sweep frame protocol, shard checkpoints
-// — must be byte-identical across platforms, compilers, and endianness,
-// because files and pipes are shared between processes and potentially
-// machines.  ByteWriter/ByteReader are the one place that encoding lives:
-// every field goes through these explicit encoders, never through raw
-// struct writes.
+// Every persisted binary format in the codebase — LP cache entries and
+// the serve journal — must be byte-identical across platforms, compilers,
+// and endianness, because its files are shared between processes and
+// potentially machines.  ByteWriter/ByteReader are the one place that
+// encoding lives: every field goes through these explicit encoders,
+// never through raw struct writes.
 //
 // ByteReader is defensive by construction: every accessor bounds-checks
 // and returns false on truncation instead of reading past the buffer, and
@@ -36,7 +35,6 @@ class ByteWriter {
     for (int n = 0; n < 8; ++n) buf_.push_back(static_cast<char>(v >> (8 * n)));
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Exact bit pattern — round-tripping must preserve -0.0 and NaN bits.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -91,12 +89,6 @@ class ByteReader {
     std::uint32_t raw = 0;
     if (!u32(raw)) return false;
     v = static_cast<std::int32_t>(raw);
-    return true;
-  }
-  bool i64(std::int64_t& v) {
-    std::uint64_t raw = 0;
-    if (!u64(raw)) return false;
-    v = static_cast<std::int64_t>(raw);
     return true;
   }
   bool f64(double& v) {

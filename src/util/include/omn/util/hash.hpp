@@ -44,7 +44,7 @@ struct Digest128Hash {
 
 /// The 64-bit trailer checksum every persisted/wire format appends
 /// (Hasher over the bytes, low digest word).  One definition so the
-/// .lpsol, frame, and checkpoint trailers can never drift apart.
+/// .lpsol and serve journal trailers can never drift apart.
 std::uint64_t content_checksum(std::string_view bytes);
 
 /// Streaming hasher.  Typed append methods serialize canonically (fixed

@@ -5,7 +5,7 @@
 // user input: they skip leading whitespace, accept '+'/'-' prefixes
 // (strtoul silently NEGATES a "-1"), stop at the first non-numeric byte
 // instead of rejecting it, and signal overflow through errno — which
-// every call site forgets to check, so `--workers 18446744073709551617`
+// every call site forgets to check, so `--threads 18446744073709551617`
 // wraps instead of failing.  These helpers accept exactly the canonical
 // spelling and nothing else.
 

@@ -1,12 +1,12 @@
 #pragma once
 // Subprocess: a spawned child process with piped stdin/stdout.
 //
-// The distributed sweep engine (omn::dist) talks to worker processes over
-// a length-prefixed binary frame protocol on the workers' stdin/stdout;
-// this class owns exactly that plumbing — fork/exec with two pipes,
-// blocking exact-count reads and writes, liveness polling, kill, and
-// reaping — and nothing protocol-specific.  stderr is inherited from the
-// parent so worker diagnostics land in the parent's stderr.
+// Used by test_serve's SIGKILL crash-replay suite, which spawns a `serve`
+// daemon, talks to it over its stdin/stdout, kills it and resumes from
+// its journal.  This class owns exactly that plumbing — fork/exec with
+// two pipes, blocking exact-count reads and writes, kill, and reaping —
+// and nothing protocol-specific.  stderr is inherited from the parent so
+// child diagnostics land in the parent's stderr.
 //
 // Failure model: a dead or misbehaving child surfaces as a short read
 // (read_exact returns fewer bytes than asked) or a failed write
@@ -43,7 +43,6 @@ class Subprocess {
   ~Subprocess();
 
   bool valid() const { return pid_ > 0; }
-  long pid() const { return pid_; }
 
   /// Writes all `size` bytes to the child's stdin.  Returns false on any
   /// error (e.g. EPIPE after a child crash) — a partial write never goes
@@ -55,15 +54,8 @@ class Subprocess {
   /// `size` means EOF or error (child exit, kill, closed pipe).
   std::size_t read_exact(void* data, std::size_t size);
 
-  /// Closes the child's stdin (a worker reading frames sees clean EOF).
-  void close_stdin();
-
   /// SIGKILL.  Safe to call repeatedly or after exit; reap with wait().
   void kill();
-
-  /// True while the child has not exited.  Non-blocking; once the child
-  /// exited the status is captured for wait().
-  bool running();
 
   /// Blocks until the child exits and reaps it (idempotent).  Returns the
   /// exit code for a normal exit, 128 + signal for a signalled death, or
@@ -82,8 +74,8 @@ class Subprocess {
 
 /// Absolute path of the running executable (/proc/self/exe on Linux),
 /// or an empty string when the platform offers no way to recover it.
-/// Self-spawning drivers (a bench re-invoking itself as `<exe> worker`)
-/// use this instead of trusting argv[0], which may be a bare name.
+/// Self-spawning drivers (a test re-invoking itself as a child) use this
+/// instead of trusting argv[0], which may be a bare name.
 std::string current_executable_path();
 
 }  // namespace omn::util

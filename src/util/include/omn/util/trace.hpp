@@ -2,9 +2,9 @@
 // Always-on tracing core: hierarchical spans + process-wide counters.
 //
 // This is the recording half of omn::obs (the export half — Chrome
-// trace-event JSON, the cross-process span codec — lives in src/obs,
-// which depends on this header, never the other way around; the core
-// sits in util so every layer down to ExecutionContext can record).
+// trace-event JSON — lives in src/obs, which depends on this header,
+// never the other way around; the core sits in util so every layer down
+// to ExecutionContext can record).
 //
 // Design:
 //   - Spans/instants/counter samples are recorded into PER-THREAD

@@ -21,8 +21,8 @@ std::string unique_temp_suffix() {
   Hasher h;
   h.u64(static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count()));
-  // The pid is the load-bearing cross-PROCESS discriminator: identical
-  // worker binaries writing the same shared directory can agree on the
+  // The pid is the load-bearing cross-PROCESS discriminator: two runs of
+  // the same binary writing one shared directory can agree on the
   // thread-id hash and the counter value, leaving only the clock tick
   // otherwise.
 #if defined(__unix__) || defined(__APPLE__)

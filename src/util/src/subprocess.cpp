@@ -30,7 +30,7 @@ namespace omn::util {
 
 namespace {
 
-/// Writing to a child that died mid-frame must surface as EPIPE on the
+/// Writing to a child that died mid-message must surface as EPIPE on the
 /// write, not as a process-killing SIGPIPE.  Installed once, process-wide;
 /// an application that set its own SIGPIPE handler keeps it.
 void ignore_sigpipe_once() {
@@ -168,22 +168,8 @@ std::size_t Subprocess::read_exact(void* data, std::size_t size) {
   return done;
 }
 
-void Subprocess::close_stdin() { close_fd(stdin_fd_); }
-
 void Subprocess::kill() {
   if (pid_ > 0 && !reaped_) ::kill(static_cast<pid_t>(pid_), SIGKILL);
-}
-
-bool Subprocess::running() {
-  if (pid_ <= 0 || reaped_) return false;
-  int status = 0;
-  const pid_t r = ::waitpid(static_cast<pid_t>(pid_), &status, WNOHANG);
-  if (r == 0) return true;
-  reaped_ = true;
-  exit_code_ = WIFEXITED(status)     ? WEXITSTATUS(status)
-               : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
-                                     : -1;
-  return false;
 }
 
 int Subprocess::wait() {
@@ -234,9 +220,7 @@ Subprocess Subprocess::spawn(const std::vector<std::string>&) {
 }
 bool Subprocess::write_exact(const void*, std::size_t) { return false; }
 std::size_t Subprocess::read_exact(void*, std::size_t) { return 0; }
-void Subprocess::close_stdin() {}
 void Subprocess::kill() {}
-bool Subprocess::running() { return false; }
 int Subprocess::wait() { return -1; }
 Subprocess::~Subprocess() { reset(); }
 

@@ -259,118 +259,4 @@ TEST(DesignSweep, InjectedContextMatchesGlobalBitForBit) {
   expect_reports_bit_identical(a, b);
 }
 
-// ---- run_range (the distributed engine's shard primitive) -----------------
-
-// Any partition of the cell range, re-merged, must reproduce the full
-// run cell for cell — including with per-instance reseeding, which
-// depends on GLOBAL instance indices surviving the split.
-TEST(DesignSweep, RangesMergeBackToTheFullRunBitForBit) {
-  const DesignSweep sweep = small_sweep();
-  SweepOptions options;
-  options.reseed_per_instance = true;
-  const omn::util::ExecutionContext context =
-      omn::util::ExecutionContext::serial();
-  const SweepReport full = sweep.run(options, context);
-
-  for (const std::size_t split : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("split at " + std::to_string(split));
-    SweepReport merged;
-    merged.num_instances = sweep.num_instances();
-    merged.num_configs = sweep.num_configs();
-    merged.merge(sweep.run_range(0, split, options, context));
-    merged.merge(sweep.run_range(split, sweep.num_cells(), options, context));
-    expect_reports_bit_identical(full, merged);
-    EXPECT_EQ(merged.lp_configs, full.lp_configs);
-  }
-}
-
-TEST(DesignSweep, RangeReportCarriesGlobalIndicesAndRangeCounters) {
-  const DesignSweep sweep = small_sweep();  // 2 instances x 3 configs
-  const omn::util::ExecutionContext context =
-      omn::util::ExecutionContext::serial();
-  // Cells [4, 6) are instance 1, configs 1..2.
-  const SweepReport part = sweep.run_range(4, 6, {}, context);
-  ASSERT_EQ(part.cells.size(), 2u);
-  EXPECT_EQ(part.num_instances, 2u);
-  EXPECT_EQ(part.num_configs, 3u);
-  EXPECT_EQ(part.cells[0].instance_index, 1u);
-  EXPECT_EQ(part.cells[0].config_index, 1u);
-  EXPECT_EQ(part.cells[1].config_index, 2u);
-  EXPECT_EQ(part.cells[0].instance_label, "seed2");
-  // Configs 1 ("no-cut") and 2 ("attempts4") span the grid's two LP
-  // groups, so the range solves each once FOR INSTANCE 1 ONLY — two
-  // solves, not the full run's 2 instances x 2 groups = 4.
-  EXPECT_EQ(part.lp_configs, 2u);
-  EXPECT_EQ(part.lp.solves, 2u);
-  EXPECT_EQ(part.cpu_seconds, part.wall_seconds);
-  EXPECT_THROW(sweep.run_range(4, 7, {}, context), std::out_of_range);
-  EXPECT_THROW(sweep.run_range(5, 4, {}, context), std::out_of_range);
-}
-
-// ---- SweepReport::merge timing + counter semantics ------------------------
-
-TEST(SweepReport, MergeAggregatesCountersWallMaxAndCpuSum) {
-  SweepReport merged;
-  merged.num_instances = 1;
-  merged.num_configs = 2;
-
-  SweepReport shard_a;
-  shard_a.num_instances = 1;
-  shard_a.num_configs = 2;
-  shard_a.cells.resize(1);
-  shard_a.cells[0].instance_index = 0;
-  shard_a.cells[0].config_index = 1;
-  shard_a.cells[0].config_label = "right";
-  shard_a.lp_configs = 2;
-  shard_a.lp.solves = 3;
-  shard_a.lp.cache_hits = 1;
-  shard_a.lp.cache_misses = 3;
-  shard_a.wall_seconds = 2.0;
-  shard_a.cpu_seconds = 2.0;
-
-  SweepReport shard_b;
-  shard_b.num_instances = 1;
-  shard_b.num_configs = 2;
-  shard_b.cells.resize(1);
-  shard_b.cells[0].instance_index = 0;
-  shard_b.cells[0].config_index = 0;
-  shard_b.cells[0].config_label = "left";
-  shard_b.lp_configs = 2;
-  shard_b.lp.solves = 1;
-  shard_b.wall_seconds = 5.0;
-  shard_b.cpu_seconds = 5.0;
-
-  merged.merge(shard_a);
-  merged.merge(shard_b);
-  ASSERT_EQ(merged.cells.size(), 2u);
-  EXPECT_EQ(merged.cells[0].config_label, "left");
-  EXPECT_EQ(merged.cells[1].config_label, "right");
-  EXPECT_EQ(merged.lp_configs, 2u);
-  EXPECT_EQ(merged.lp.solves, 4u);
-  EXPECT_EQ(merged.lp.cache_hits, 1u);
-  EXPECT_EQ(merged.lp.cache_misses, 3u);
-  // Concurrent shards: wall is the slowest shard, cpu the total machine
-  // time across both.
-  EXPECT_DOUBLE_EQ(merged.wall_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(merged.cpu_seconds, 7.0);
-}
-
-TEST(SweepReport, MergeRejectsForeignGrids) {
-  SweepReport merged;
-  merged.num_instances = 2;
-  merged.num_configs = 2;
-
-  SweepReport wrong_dims;
-  wrong_dims.num_instances = 1;
-  wrong_dims.num_configs = 2;
-  EXPECT_THROW(merged.merge(wrong_dims), std::invalid_argument);
-
-  SweepReport out_of_grid;
-  out_of_grid.num_instances = 2;
-  out_of_grid.num_configs = 2;
-  out_of_grid.cells.resize(1);
-  out_of_grid.cells[0].instance_index = 2;  // grid has instances 0..1
-  EXPECT_THROW(merged.merge(out_of_grid), std::invalid_argument);
-}
-
 }  // namespace

@@ -16,7 +16,6 @@
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/designer.hpp"
 #include "omn/core/lp_work.hpp"
-#include "omn/dist/dist_sweep.hpp"
 #include "omn/lp/simplex.hpp"
 #include "omn/serve/serve.hpp"
 #include "omn/util/json.hpp"
@@ -159,13 +158,12 @@ TEST(MetricsSchema, SweepReportGolden) {
   report.lp.refactorizations = 7;
   report.lp.warm_start_hits = 2;
   report.wall_seconds = 1.5;
-  report.cpu_seconds = 3.0;
   EXPECT_EQ(omn::core::to_json(report).dump(),
             "{\"cells\":12,\"instances\":3,\"configs\":4,\"lp_configs\":2,"
             "\"lp_solves\":5,\"lp_cache_hits\":1,\"lp_cache_misses\":5,"
             "\"lp_iterations\":420,\"lp_phase1_iterations\":130,"
             "\"lp_refactorizations\":7,\"lp_warm_start_hits\":2,"
-            "\"saved_by_reuse\":6,\"wall_seconds\":1.5,\"cpu_seconds\":3.0}");
+            "\"saved_by_reuse\":6,\"wall_seconds\":1.5}");
 }
 
 // The redesign-loop record serve's --metrics and E15 share: the LP work
@@ -219,25 +217,8 @@ TEST(MetricsSchema, SavedByReuseClampsAtZero) {
   report.cells.resize(4);
   report.lp.solves = 4;
   EXPECT_EQ(report.saved_by_reuse(), 0u);
-  report.lp.solves = 5;  // merge pathologies must not underflow either
+  report.lp.solves = 5;  // a hand-built report must not underflow either
   EXPECT_EQ(report.saved_by_reuse(), 0u);
-}
-
-TEST(MetricsSchema, DistStatsGolden) {
-  omn::dist::DistStats stats;
-  stats.workers_spawned = 2;
-  stats.workers_failed = 1;
-  stats.threads_per_worker = 4;
-  stats.shards_total = 8;
-  stats.shards_computed = 6;
-  stats.shards_from_checkpoint = 2;
-  stats.shards_reassigned = 1;
-  stats.checkpoints_written = 6;
-  EXPECT_EQ(omn::dist::to_json(stats).dump(),
-            "{\"workers_spawned\":2,\"workers_failed\":1,"
-            "\"threads_per_worker\":4,\"shards_total\":8,"
-            "\"shards_computed\":6,\"shards_from_checkpoint\":2,"
-            "\"shards_reassigned\":1,\"checkpoints_written\":6}");
 }
 
 TEST(MetricsSchema, DesignResultGolden) {

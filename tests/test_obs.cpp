@@ -1,17 +1,12 @@
 // Tests for omn::obs — the export half of the tracing stack.
 //
-//   - trace codec: ProcessTrace round-trips bit-exactly; truncation,
-//     bad magic, version skew, checksum mismatch, and trailing garbage
-//     are all rejected (a corrupt worker frame must never become a
-//     half-parsed timeline).
 //   - chrome_trace_json: structural golden
 //     tests/data/chrome_trace_golden.json pins the normalized
 //     serialization byte for byte (`test_obs write-golden <path>`
 //     regenerates it on a deliberate format change); offset placement
 //     and metadata lanes are checked on the real-timestamp path.
-//   - collector: deposits merge per pid (earliest offset wins), drain
-//     empties the mailbox.
-//   - merge_process_trace: per-tid concatenation, counter maxima.
+//   - export_trace: writes the calling process as one pid-0 lane.
+//   - drain_process_trace: spans and the counter snapshot.
 #include "omn/obs/chrome_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -23,9 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "omn/obs/collector.hpp"
 #include "omn/obs/timeline.hpp"
-#include "omn/obs/trace_codec.hpp"
 #include "omn/util/trace.hpp"
 
 namespace {
@@ -63,7 +56,8 @@ TraceEvent make_event(TraceEvent::Kind kind, std::string name,
 
 /// The fixed two-process timeline every serialization test (and the
 /// committed golden) is built from: a main process with two threads
-/// covering all four event kinds plus counters, and one worker lane.
+/// covering all four event kinds plus counters, and a second lane
+/// ("worker 1", pid 1) placed at a clock offset.
 ProcessTrace fixture_main_trace() {
   ProcessTrace trace;
   trace.name = "main";
@@ -111,77 +105,13 @@ std::vector<TimelineProcess> fixture_timeline() {
   return processes;
 }
 
-// ---- trace codec ----------------------------------------------------------
-
-TEST(TraceCodec, RoundTripsEveryField) {
-  const ProcessTrace original = fixture_main_trace();
-  const std::string bytes = omn::obs::encode_trace(original);
-  ProcessTrace decoded;
-  ASSERT_TRUE(omn::obs::decode_trace(bytes, decoded));
-  EXPECT_EQ(decoded.name, original.name);
-  ASSERT_EQ(decoded.threads.size(), original.threads.size());
-  for (std::size_t t = 0; t < original.threads.size(); ++t) {
-    SCOPED_TRACE("thread " + std::to_string(t));
-    EXPECT_EQ(decoded.threads[t].tid, original.threads[t].tid);
-    ASSERT_EQ(decoded.threads[t].events.size(),
-              original.threads[t].events.size());
-    for (std::size_t n = 0; n < original.threads[t].events.size(); ++n) {
-      const TraceEvent& a = original.threads[t].events[n];
-      const TraceEvent& b = decoded.threads[t].events[n];
-      EXPECT_EQ(b.kind, a.kind);
-      EXPECT_EQ(b.name, a.name);
-      EXPECT_EQ(b.tick, a.tick);
-      EXPECT_EQ(b.micros, a.micros);
-      EXPECT_EQ(b.value, a.value);
-    }
-  }
-  EXPECT_EQ(decoded.counters, original.counters);
-}
-
-TEST(TraceCodec, EmptyTraceRoundTrips) {
-  ProcessTrace empty;
-  empty.name = "idle";
-  const std::string bytes = omn::obs::encode_trace(empty);
-  ProcessTrace decoded;
-  ASSERT_TRUE(omn::obs::decode_trace(bytes, decoded));
-  EXPECT_EQ(decoded.name, "idle");
-  EXPECT_TRUE(decoded.threads.empty());
-  EXPECT_TRUE(decoded.counters.empty());
-}
-
-TEST(TraceCodec, RejectsEveryMalformation) {
-  const std::string good = omn::obs::encode_trace(fixture_main_trace());
-  ProcessTrace ignored;
-  ASSERT_TRUE(omn::obs::decode_trace(good, ignored));
-
-  // Truncation at every prefix length.
-  for (std::size_t keep = 0; keep < good.size(); ++keep) {
-    EXPECT_FALSE(omn::obs::decode_trace(good.substr(0, keep), ignored))
-        << "prefix of " << keep << " bytes was accepted";
-  }
-  // Trailing garbage.
-  EXPECT_FALSE(omn::obs::decode_trace(good + "x", ignored));
-  // Bad magic.
-  std::string bad_magic = good;
-  bad_magic[0] ^= 1;
-  EXPECT_FALSE(omn::obs::decode_trace(bad_magic, ignored));
-  // Version skew (u8 after the u32 magic).
-  std::string bad_version = good;
-  bad_version[4] = 2;
-  EXPECT_FALSE(omn::obs::decode_trace(bad_version, ignored));
-  // Any payload flip trips the trailing checksum.
-  std::string bad_payload = good;
-  bad_payload[good.size() / 2] ^= 1;
-  EXPECT_FALSE(omn::obs::decode_trace(bad_payload, ignored));
-}
-
 // ---- chrome trace export --------------------------------------------------
 
 TEST(ChromeTrace, GoldenNormalizedSerializationIsByteStable) {
   // Committed golden pins the normalized (tick-timestamp) serialization:
   // key order, metadata lanes, instant scope, counter tracks.  Any
   // format change must regenerate it with `test_obs write-golden` — an
-  // explicit, reviewed decision, like the dist frame golden.
+  // explicit, reviewed decision, like the serve journal golden.
   const std::string golden = slurp(data_path("chrome_trace_golden.json"));
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(omn::obs::chrome_trace_json(fixture_timeline(),
@@ -194,7 +124,7 @@ TEST(ChromeTrace, RealTimestampsApplyTheProcessOffset) {
   const std::string json =
       omn::obs::chrome_trace_json(fixture_timeline(),
                                   /*normalize_timestamps=*/false);
-  // Worker events land at offset + micros on the shared timeline...
+  // Second-lane events land at offset + micros on the shared timeline...
   EXPECT_NE(json.find("1005"), std::string::npos);
   EXPECT_NE(json.find("1009"), std::string::npos);
   // ...while normalized output uses per-thread ticks and never sees the
@@ -213,82 +143,24 @@ TEST(ChromeTrace, EveryProcessGetsANameLane) {
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
 }
 
-// ---- collector ------------------------------------------------------------
+// ---- export_trace ---------------------------------------------------------
 
-TEST(Collector, DepositsMergePerPidAndDrainEmptiesTheMailbox) {
-  omn::obs::take_child_traces();  // discard other tests' leftovers
+TEST(ExportTrace, WritesOnlyTheCallingProcessAsPidZero) {
+  omn::util::Trace::drain();  // discard earlier tests' events
+  omn::util::Trace::set_enabled(true);
+  { OMN_TRACE_SPAN("obs.export_span"); }
+  omn::util::Trace::set_enabled(false);
+  const std::string path = ::testing::TempDir() + "omn_export_trace.json";
+  ASSERT_TRUE(omn::obs::export_trace(path, "export test"));
 
-  omn::obs::add_child_trace(TimelineProcess{2, 500, fixture_worker_trace()});
-  omn::obs::add_child_trace(TimelineProcess{1, 300, fixture_worker_trace()});
-  // Second deposit for pid 1, earlier offset: merged, earliest wins.
-  ProcessTrace later = fixture_worker_trace();
-  later.counters = {{"lp.solves", 5}};
-  omn::obs::add_child_trace(TimelineProcess{1, 100, std::move(later)});
-
-  std::vector<TimelineProcess> taken = omn::obs::take_child_traces();
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].pid, 1u);
-  EXPECT_EQ(taken[0].offset_micros, 100);
-  EXPECT_EQ(taken[1].pid, 2u);
-  EXPECT_EQ(taken[1].offset_micros, 500);
-  // pid 1 holds both deposits: its tid-0 stream has both span pairs and
-  // the counter kept the maximum.
-  ASSERT_EQ(taken[0].trace.threads.size(), 1u);
-  EXPECT_EQ(taken[0].trace.threads[0].events.size(), 4u);
-  EXPECT_EQ(taken[0].trace.counters,
-            (std::vector<std::pair<std::string, std::uint64_t>>{
-                {"lp.solves", 5}}));
-
-  EXPECT_TRUE(omn::obs::take_child_traces().empty());
-}
-
-// ---- merge_process_trace --------------------------------------------------
-
-TEST(MergeProcessTrace, ConcatenatesPerTidAndKeepsCounterMaxima) {
-  ProcessTrace into = fixture_main_trace();
-  ProcessTrace from;
-  from.name = "main";
-  ThreadTrace t0;
-  t0.tid = 0;
-  t0.events.push_back(
-      make_event(TraceEvent::Kind::kBegin, "designer.design", 6, 70));
-  t0.events.push_back(
-      make_event(TraceEvent::Kind::kEnd, "designer.design", 7, 80));
-  from.threads.push_back(std::move(t0));
-  ThreadTrace t2;
-  t2.tid = 2;
-  t2.events.push_back(make_event(TraceEvent::Kind::kInstant, "new.thread", 0, 75));
-  from.threads.push_back(std::move(t2));
-  from.counters.emplace_back("cache.hits", 9);
-  from.counters.emplace_back("cache.misses", 1);
-
-  omn::obs::merge_process_trace(into, from);
-  ASSERT_EQ(into.threads.size(), 3u);
-  // tid 0: the original six events plus the two appended ones, in order.
-  EXPECT_EQ(into.threads[0].events.size(), 8u);
-  EXPECT_EQ(into.threads[0].events.back().tick, 7u);
-  // tid 2 arrived whole.
-  bool found_new_thread = false;
-  for (const ThreadTrace& thread : into.threads) {
-    if (thread.tid == 2) {
-      found_new_thread = true;
-      ASSERT_EQ(thread.events.size(), 1u);
-      EXPECT_EQ(thread.events[0].name, "new.thread");
-    }
-  }
-  EXPECT_TRUE(found_new_thread);
-  // Counters: max per name, union of names.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t lp_solves = 0;
-  for (const auto& [name, value] : into.counters) {
-    if (name == "cache.hits") cache_hits = value;
-    if (name == "cache.misses") cache_misses = value;
-    if (name == "lp.solves") lp_solves = value;
-  }
-  EXPECT_EQ(cache_hits, 9u);
-  EXPECT_EQ(cache_misses, 1u);
-  EXPECT_EQ(lp_solves, 2u);
+  const std::string json = slurp(path);
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_NE(json.find("obs.export_span"), std::string::npos);
+  EXPECT_NE(json.find("export test"), std::string::npos);
+  // One process lane: a single process_name record, and no pid but 0.
+  const std::string lane = "\"process_name\"";
+  EXPECT_EQ(json.find(lane), json.rfind(lane));
+  EXPECT_EQ(json.find("\"pid\":1"), std::string::npos);
 }
 
 // ---- drain_process_trace --------------------------------------------------

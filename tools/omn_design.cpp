@@ -8,7 +8,7 @@
 //             [--out design.txt] [--metrics out.json]
 //   sweep     --instance inst.txt [--c C1,C2,...] [--seeds K]
 //             [--attempts A] [--threads T] [--lp-cache DIR]
-//             [--workers N] [--checkpoints DIR] [--metrics out.json]
+//             [--metrics out.json]
 //   serve     --instance inst.txt [--journal F] [--seed S] [--c C]
 //             [--colors] [--bandwidth] [--attempts A] [--threads T]
 //             [--warm-start] [--lp-cache DIR]
@@ -18,11 +18,12 @@
 //   simulate  --instance inst.txt --design design.txt [--packets P]
 //             [--seed S] [--isp-outage-prob Q]
 //   failover  --instance inst.txt --design design.txt
-//   worker    [--lp-cache DIR]   (internal: distributed sweep worker)
 //
 // Each subcommand accepts exactly the options listed for it above: an
 // unknown or misspelled option, a value given to a stand-alone flag, or a
-// value option given without its value is a usage error (exit 2).
+// value option given without its value is a usage error (exit 2), and so
+// is a --c that is not positive, an empty --c list item, or --seeds 0;
+// all of these are caught before the instance is loaded.
 //
 // Global flags (any subcommand, any position; stripped before the
 // subcommand parser runs):
@@ -30,11 +31,9 @@
 //                 each line stamped with seconds since startup (the
 //                 console output is unchanged; see omn/util/log.hpp)
 //   --trace FILE  record hierarchical spans (designer stages, LP
-//                 phases, cache traffic, per-worker shard lanes) and
-//                 write a merged Chrome trace-event JSON timeline at
-//                 exit — load FILE in chrome://tracing or Perfetto.
-//                 `sweep --workers N --trace F` merges the workers'
-//                 spans into the same file as per-pid lanes.
+//                 phases, cache traffic, pool chunks) and write a
+//                 Chrome trace-event JSON timeline at exit — load FILE
+//                 in chrome://tracing or Perfetto.
 //
 // Typical session:
 //   omn_design generate --sinks 48 --isps 4 --seed 7 --out event.txt
@@ -65,8 +64,8 @@
 // --lp-cache DIR installs a content-addressed core::LpCache over DIR:
 // the LP solve (the dominant design cost) is keyed on the instance's
 // canonical content plus the LP/solve options and persisted, so a second
-// run over the same topology performs zero simplex solves — concurrent
-// processes can share one directory (entries are written atomically).
+// run over the same topology performs zero simplex solves — two processes
+// may share one directory (entries are written atomically).
 // The design is bit-identical with the cache on or off; cache traffic is
 // reported with the timings.
 //
@@ -83,17 +82,9 @@
 // of possibly landing on a DIFFERENT optimal vertex than a cold solve;
 // the session installs a memory-only LpCache for that basis when no
 // --lp-cache is configured.
-//
-// sweep --workers N shards the grid across N `omn_design worker`
-// subprocesses (omn::dist): the report is bit-identical to the in-process
-// sweep, workers share the --lp-cache directory (a warm distributed
-// sweep performs zero simplex solves), a killed worker's shard is
-// reassigned to a survivor, and --checkpoints DIR persists per-shard
-// results so an interrupted sweep resumes without recomputing them.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -106,8 +97,6 @@
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/designer.hpp"
 #include "omn/core/lp_cache.hpp"
-#include "omn/dist/dist_sweep.hpp"
-#include "omn/dist/worker.hpp"
 #include "omn/lp/simplex.hpp"
 #include "omn/net/serialize.hpp"
 #include "omn/obs/chrome_trace.hpp"
@@ -227,12 +216,17 @@ std::shared_ptr<omn::core::LpCache> make_lp_cache(const Args& args) {
 }
 
 /// The designer knobs design and serve share: --seed, --c, --attempts,
-/// --threads, --colors, --bandwidth, --pricing.  An unknown --pricing
-/// name is a usage error, not a silent default.
+/// --threads, --colors, --bandwidth, --pricing.  A --c that is not
+/// positive or an unknown --pricing name is a usage error, not a silent
+/// default or a failure after the LP solve.
 omn::core::DesignerConfig designer_config(const Args& args) {
   omn::core::DesignerConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
   cfg.c = args.get_double("c", cfg.c);
+  if (cfg.c <= 0.0) {
+    throw UsageError("bad --c value '" + args.get("c", "") +
+                     "' (expected a positive number)");
+  }
   cfg.rounding_attempts = static_cast<int>(args.get_count("attempts", 3));
   cfg.threads = static_cast<int>(args.get_count("threads", 0));
   cfg.color_constraints = args.has("colors");
@@ -271,7 +265,7 @@ void apply_global_flags(std::vector<std::string>& tokens) {
       omn::util::install_log_tee(path);
     } else {
       omn::util::Trace::set_enabled(true);
-      omn::obs::export_merged_trace_at_exit(path, "omn_design");
+      omn::obs::export_trace_at_exit(path, "omn_design");
     }
   }
 }
@@ -288,10 +282,8 @@ int usage() {
       "            [--lp-cache DIR] [--pricing ...]\n"
       "            [--metrics F]    (event protocol on stdin; see header)\n"
       "  sweep     --instance F [--c C1,C2,...] [--seeds K] [--attempts A]\n"
-      "            [--threads T] [--lp-cache DIR]\n"
-      "            [--workers N] [--checkpoints DIR] [--metrics F]\n"
+      "            [--threads T] [--lp-cache DIR] [--metrics F]\n"
       "  run       script.omn    (one subcommand per line; # comments)\n"
-      "  worker    [--lp-cache DIR]    (internal: distributed sweep worker)\n"
       "  evaluate  --instance F --design F\n"
       "  simulate  --instance F --design F [--packets P] [--seed S]\n"
       "            [--isp-outage-prob Q]\n"
@@ -322,8 +314,8 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_design(const Args& args) {
-  const auto inst = omn::net::load_file(args.get("instance", ""));
   const omn::core::DesignerConfig cfg = designer_config(args);
+  const auto inst = omn::net::load_file(args.get("instance", ""));
   const std::shared_ptr<omn::core::LpCache> cache = make_lp_cache(args);
   // The designer's own context choice, with the cache riding along as a
   // service when requested (a context without the service behaves exactly
@@ -430,21 +422,27 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const auto inst = omn::net::load_file(args.get("instance", ""));
   const int seeds = static_cast<int>(args.get_count("seeds", 3));
   const int attempts = static_cast<int>(args.get_count("attempts", 1));
+  if (seeds == 0) throw UsageError("--seeds must be at least 1");
+  omn::core::SweepOptions options;
+  options.threads = args.get_count("threads", 0);
 
+  // The appended ',' terminates the last item, so getline also yields the
+  // empty item of `--c ''` or a trailing comma, and every empty item is
+  // rejected like any other non-number.
   std::vector<double> cs;
-  std::stringstream list(args.get("c", "0.5,2,8"));
+  std::stringstream list(args.get("c", "0.5,2,8") + ",");
   for (std::string item; std::getline(list, item, ',');) {
-    if (item.empty()) continue;
     const std::optional<double> value = omn::util::parse_double(item);
-    if (!value.has_value()) {
+    if (!value.has_value() || *value <= 0.0) {
       throw UsageError("bad --c value '" + item +
-                       "' (expected a comma-separated list of numbers)");
+                       "' (expected a comma-separated list of positive "
+                       "numbers)");
     }
     cs.push_back(*value);
   }
+  const auto inst = omn::net::load_file(args.get("instance", ""));
 
   // All configs differ only in rounding knobs (c, seed), so the LP-reuse
   // planner solves the instance's LP exactly once for the whole grid.
@@ -461,38 +459,11 @@ int cmd_sweep(const Args& args) {
                        cfg);
     }
   }
-  omn::core::SweepOptions options;
-  options.threads = args.get_count("threads", 0);
-  const std::size_t workers = args.get_count("workers", 0);
-
-  // Checkpoints are a distributed-engine feature (per-SHARD results);
-  // silently ignoring the flag on an in-process sweep would let a
-  // multi-hour run believe it is resumable when it is not.
-  if (workers == 0 && !args.get("checkpoints", "").empty()) {
-    throw std::runtime_error("--checkpoints requires --workers N (shard "
-                             "checkpoints exist only for distributed sweeps)");
-  }
-  omn::core::SweepReport report;
-  omn::dist::DistStats dist_stats;
-  std::shared_ptr<omn::core::LpCache> cache;
-  if (workers > 0) {
-    // Shard across worker processes: this binary re-invokes itself as
-    // `omn_design worker`, and the workers own the LP cache (sharing the
-    // --lp-cache directory across processes).
-    omn::dist::DistOptions dist_options;
-    dist_options.workers = workers;
-    dist_options.worker_command =
-        omn::dist::self_worker_command(lp_cache_dir(args));
-    dist_options.checkpoint_dir = args.get("checkpoints", "");
-    dist_options.stats = &dist_stats;
-    report = sweep.run_distributed(options, dist_options);
-  } else {
-    cache = make_lp_cache(args);
-    omn::util::ExecutionContext context =
-        omn::core::DesignSweep::default_context(options);
-    if (cache != nullptr) context.set_service(cache);
-    report = sweep.run(options, context);
-  }
+  const std::shared_ptr<omn::core::LpCache> cache = make_lp_cache(args);
+  omn::util::ExecutionContext context =
+      omn::core::DesignSweep::default_context(options);
+  if (cache != nullptr) context.set_service(cache);
+  const omn::core::SweepReport report = sweep.run(options, context);
 
   omn::util::Table table({"config", "cost $", "cost/LP", "min w-ratio",
                           "winning attempt", "rounding s"});
@@ -517,16 +488,6 @@ int cmd_sweep(const Args& args) {
               "%.2fs wall\n",
               report.cells.size(), report.lp.solves, report.lp_configs,
               report.wall_seconds);
-  if (workers > 0) {
-    std::printf("distributed: %zu workers x %zu threads, %zu shards "
-                "(%zu computed, %zu from checkpoints, %zu reassigned) | "
-                "cache %zu hits / %zu misses | %.2fs cpu\n",
-                dist_stats.workers_spawned, dist_stats.threads_per_worker,
-                dist_stats.shards_total, dist_stats.shards_computed,
-                dist_stats.shards_from_checkpoint,
-                dist_stats.shards_reassigned, report.lp.cache_hits,
-                report.lp.cache_misses, report.cpu_seconds);
-  }
   if (cache != nullptr) {
     const omn::core::LpCacheStats stats = cache->stats();
     std::printf("lp cache: %zu hits (%zu disk), %zu misses, %zu rejected | "
@@ -538,11 +499,9 @@ int cmd_sweep(const Args& args) {
   if (!metrics.empty()) {
     omn::util::Json envelope = metrics_envelope("sweep");
     envelope.set("threads", options.threads);
-    envelope.set("workers", workers);
     envelope.set("lp_cache", lp_cache_dir(args));
     omn::util::Json record = omn::core::to_json(report);
     record.set("label", "sweep");
-    if (workers > 0) record.set("dist", omn::dist::to_json(dist_stats));
     omn::util::Json sweeps = omn::util::Json::array();
     sweeps.push(std::move(record));
     envelope.set("sweeps", std::move(sweeps));
@@ -655,7 +614,7 @@ const std::map<std::string, Subcommand>& subcommands() {
       {"sweep",
        {cmd_sweep,
         {"instance", "c", "seeds", "attempts", "threads", "lp-cache",
-         "workers", "checkpoints", "metrics"},
+         "metrics"},
         {}}},
       {"evaluate", {cmd_evaluate, {"instance", "design"}, {}}},
       {"simulate",
@@ -709,8 +668,8 @@ int dispatch(const Args& args) {
 /// `design ...`, `evaluate ...`, `sweep ...`), tokenized on whitespace
 /// and dispatched exactly like the argv path.  A trailing `\` continues
 /// a command onto the next line.  The first failing line aborts with its
-/// line number; `worker` and nested `run` lines are rejected (the former
-/// owns stdin/stdout, the latter invites cycles).
+/// line number; `serve` and nested `run` lines are rejected (the former
+/// owns stdin, the latter invites cycles).
 int cmd_run(const std::vector<std::string>& tokens) {
   if (tokens.size() != 1) {
     throw std::runtime_error("usage: omn_design run <script.omn>");
@@ -728,8 +687,7 @@ int cmd_run(const std::vector<std::string>& tokens) {
                                std::to_string(command.line_number) + ": " +
                                why);
     };
-    if (command.tokens[0] == "worker" || command.tokens[0] == "run" ||
-        command.tokens[0] == "serve") {
+    if (command.tokens[0] == "run" || command.tokens[0] == "serve") {
       fail("'" + command.tokens[0] + "' is not scriptable");
     }
     std::printf("== %s:%d: %s\n", path.c_str(), command.line_number,
@@ -751,11 +709,6 @@ int cmd_run(const std::vector<std::string>& tokens) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The worker subcommand speaks binary frames on stdin/stdout; route it
-  // before the option parser so nothing else ever touches those streams.
-  if (argc >= 2 && std::strcmp(argv[1], "worker") == 0) {
-    return omn::dist::worker_main(argc, argv);
-  }
   try {
     std::vector<std::string> tokens;
     for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);

@@ -3,12 +3,12 @@
 
 `omn_design --trace out.json` and every bench's `--trace FILE` write the
 trace-event "JSON Object Format".  CI's trace-smoke job runs this
-checker over traced smoke runs so a refactor that breaks span pairing,
-event shape, or worker-lane merging fails loudly instead of producing a
-file chrome://tracing quietly mis-renders::
+checker over traced smoke runs so a refactor that breaks span pairing
+or event shape fails loudly instead of producing a file chrome://tracing
+quietly mis-renders::
 
     python3 tools/trace_check.py out.json
-    python3 tools/trace_check.py out.json --expect-pids 0,1,2 \\
+    python3 tools/trace_check.py out.json --expect-pids 0 \\
         --expect-span lp.solve
 
 Checks:
@@ -20,7 +20,7 @@ Checks:
     names and nothing is left open, and timestamps never go backwards
     (each lane is one thread's buffer, recorded in order),
   - --expect-pids: each listed pid is present AND carries at least one
-    span, so a distributed run demonstrably merged its worker lanes,
+    span,
   - --expect-span NAME: some "B" event has exactly that name.
 
 Exit codes: 0 pass, 1 malformed/failed expectation, 2 usage error.
