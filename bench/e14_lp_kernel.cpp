@@ -8,8 +8,7 @@
 // kernel from rounding and evaluation:
 //
 //   dense        lp::solve_dense_reference (the differential reference)
-//   rev-dantzig  SimplexSolver + Pricing::kDantzig
-//   rev-se       SimplexSolver + Pricing::kSteepestEdge (default)
+//   rev-se       SimplexSolver (steepest-edge pricing, the one rule)
 //   resolve-cold the rev-se model with costs perturbed +-3%, solved cold
 //   resolve-warm the same perturbed model warm-started from the unperturbed
 //                optimal basis (Solution::basis -> warm_start_basis)
@@ -109,13 +108,10 @@ int main(int argc, char** argv) {
     const auto inst = topo::make_uniform_random(topo_cfg);
     const core::OverlayLp lp = core::build_overlay_lp(inst);
 
-    lp::SolveOptions dantzig_opts;
-    dantzig_opts.pricing = lp::Pricing::kDantzig;
-    const lp::SolveOptions se_opts;  // the defaults: revised + steepest edge
+    const lp::SolveOptions se_opts;  // the defaults
 
     const Timed dense =
         time_solve([&] { return lp::solve_dense_reference(lp.model); });
-    const Timed dantzig = solve_timed(lp.model, dantzig_opts);
     const Timed se = solve_timed(lp.model, se_opts);
 
     // Perturbed re-solve, cold vs warm-started from the unperturbed basis.
@@ -129,7 +125,6 @@ int main(int argc, char** argv) {
       const char* variant;
       const Timed* timed;
     } rows[] = {{"dense", &dense},
-                {"rev-dantzig", &dantzig},
                 {"rev-se", &se},
                 {"resolve-cold", &cold},
                 {"resolve-warm", &warm}};

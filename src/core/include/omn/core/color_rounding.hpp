@@ -41,8 +41,6 @@ struct ColorRoundingOptions {
   /// two half-units); infeasibility triggers the paper's 4u-style
   /// relaxation via relax_retries (each retry doubles the capacity).
   std::int64_t color_capacity_scaled = 2;
-  /// Multiplier for the expensive-path filter (paper: 4X).
-  double cost_drop_factor = 4.0;
   /// Retries with doubled color capacity if the network LP is infeasible.
   int relax_retries = 2;
   std::uint64_t seed = 1;
@@ -68,7 +66,7 @@ struct ColorRoundResult {
 };
 
 /// Rounds the fractional x-bar under the color constraints (9): builds
-/// the box network, drops pairs costlier than cost_drop_factor * X,
+/// the box network, drops pairs costlier than 4X (the paper's filter),
 /// solves the entangled network LP, and samples one feeder per box
 /// (dependent rounding).  Falls back to the plain GAP flow when even the
 /// relaxed capacities are infeasible (color_lp_feasible = false).

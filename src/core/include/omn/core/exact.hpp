@@ -24,8 +24,6 @@ namespace omn::core {
 struct ExactOptions {
   /// Give up after this many branch-and-bound nodes (0 = unlimited).
   std::int64_t max_nodes = 200000;
-  /// Integrality tolerance.
-  double int_tol = 1e-6;
   LpBuildOptions lp_options;
 };
 

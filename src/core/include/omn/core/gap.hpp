@@ -70,8 +70,6 @@ struct BoxNetworkOptions {
   /// by default we keep a lone partial box (a strict improvement; noted in
   /// DESIGN.md).
   bool keep_lone_partial_box = true;
-  /// Treat x̄ below this as zero.
-  double x_epsilon = 1e-9;
 };
 
 /// Builds the conversion network from the post-randomized-rounding x̄.

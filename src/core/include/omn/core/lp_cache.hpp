@@ -47,9 +47,8 @@
 //   u8 has_basis                    [u64 ns  u8 state[ns]  u64 nb  i32 basic[nb]]
 //   u64 checksum (util::Hasher digest.lo of all preceding bytes)
 //
-// v1 entries (the format without the refactorizations/warm_started/basis
-// block) are still read — old cache directories keep working; they just
-// carry no basis to warm-start from.  Writes always produce v2.
+// Only v2 is read; v1 entries (without the refactorizations/warm_started/
+// basis block) are rejected like any stale file and re-solved.
 //
 // Basis warm-start (opt-in): optimal bases are also indexed in memory by a
 // structural "shape" digest (lp_shape_digest: everything that determines
@@ -91,8 +90,7 @@ struct LpCacheStats {
 class LpCache {
  public:
   /// On-disk entry format version; bumped on any layout change so stale
-  /// files are rejected instead of misread.  read_entry additionally
-  /// accepts the previous version (v1, basis-less).
+  /// files are rejected instead of misread.
   static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Memory-only cache.
@@ -140,7 +138,7 @@ class LpCache {
   /// Writes one v2 entry for `key` to `os`.
   static void write_entry(std::ostream& os, const util::Digest128& key,
                           const lp::Solution& solution);
-  /// Parses one entry (v2 or legacy v1), validating magic, version, key,
+  /// Parses one v2 entry, validating magic, version, key,
   /// structure, and checksum.  Returns nullopt on any mismatch (including
   /// trailing or missing bytes) — a rejected entry is indistinguishable
   /// from a miss.

@@ -11,6 +11,9 @@ namespace omn::core {
 
 namespace {
 
+/// Multiplier for the expensive-path filter (paper: drop paths over 4X).
+constexpr double kCostDropFactor = 4.0;
+
 /// Builds and solves the edge-flow LP over the box network with entangled
 /// color rows.  Returns variable values per graph edge id (forward edges
 /// only), or empty on infeasibility.
@@ -111,7 +114,7 @@ ColorRoundResult color_constrained_round(const net::OverlayInstance& inst,
   }
   std::vector<bool> dropped(net.pairs.size(), false);
   for (std::size_t p = 0; p < net.pairs.size(); ++p) {
-    if (net.pairs[p].cost > options.cost_drop_factor * stage_cost &&
+    if (net.pairs[p].cost > kCostDropFactor * stage_cost &&
         stage_cost > 0.0) {
       dropped[p] = true;
       ++out.pairs_dropped_by_cost;

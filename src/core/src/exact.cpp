@@ -11,6 +11,9 @@ namespace omn::core {
 
 namespace {
 
+/// Integrality tolerance: a value within this of 0 or 1 counts as integral.
+constexpr double kIntTol = 1e-6;
+
 struct Frame {
   int variable = -1;
   double fixed_value = 0.0;
@@ -98,7 +101,7 @@ class BranchAndBound {
 
   int most_fractional(const std::vector<double>& x) const {
     int best = -1;
-    double best_score = opts_.int_tol;
+    double best_score = kIntTol;
     for (int v : priority_) {
       const double value = x[static_cast<std::size_t>(v)];
       const double frac = std::min(value, 1.0 - value);

@@ -11,6 +11,9 @@ namespace omn::core {
 
 namespace {
 
+/// Treat x̄ (and leftover box room) at or below this as zero.
+constexpr double kXEpsilon = 1e-9;
+
 /// Scaled (x2) capacity: smallest integer >= 2 * value.
 std::int64_t scaled_ceil(double value) {
   return static_cast<std::int64_t>(std::ceil(2.0 * value - 1e-9));
@@ -44,7 +47,7 @@ BoxNetwork build_box_network(const net::OverlayInstance& inst,
     for (int id : inst.sink_in(j)) {
       const auto uid = static_cast<std::size_t>(id);
       if (lp.x_var[uid] < 0) continue;
-      if (x_bar[uid] <= options.x_epsilon) continue;
+      if (x_bar[uid] <= kXEpsilon) continue;
       pending.push_back(PendingPair{id, std::min(x_bar[uid], 1.0),
                                     lp.x_weight[uid]});
     }
@@ -89,13 +92,13 @@ BoxNetwork build_box_network(const net::OverlayInstance& inst,
     double box_room = 0.5;
     for (std::size_t p = 0; p < pending.size() && box < kept; ++p) {
       double remaining = pending[p].value;
-      while (remaining > options.x_epsilon && box < kept) {
+      while (remaining > kXEpsilon && box < kept) {
         const double used = std::min(remaining, box_room);
         feeders.push_back(Feeder{first_pair + static_cast<int>(p),
                                  first_box + box});
         remaining -= used;
         box_room -= used;
-        if (box_room <= options.x_epsilon) {
+        if (box_room <= kXEpsilon) {
           ++box;
           box_room = 0.5;
         }

@@ -36,14 +36,16 @@ void hash_build_options(util::Hasher& h, const LpBuildOptions& o) {
 
 void hash_solve_options(util::Hasher& h, const lp::SolveOptions& o) {
   h.i32(o.max_iterations);
-  h.f64(o.optimality_tol);
-  h.f64(o.feasibility_tol);
-  h.f64(o.pivot_tol);
-  h.i32(o.degenerate_switch);
+  h.f64(lp::kOptimalityTol);
+  h.f64(lp::kFeasibilityTol);
+  h.f64(lp::kPivotTol);
+  h.i32(lp::kDegenerateSwitch);
   // The retired simplex-core selector, hashed as its only value (0 =
   // revised) so keys, and .lpsol files written before its removal, stay.
   h.u32(0);
-  h.u32(static_cast<std::uint32_t>(o.pricing));
+  // The retired pricing selector, hashed as its only value (1 = steepest
+  // edge) for the same reason.
+  h.u32(1);
   h.i32(o.refactor_interval);
   // warm_start_basis is deliberately excluded: the starting basis changes
   // where the solve starts, not which problem it solves, and the byte
@@ -282,11 +284,7 @@ std::optional<lp::Solution> LpCache::read_entry(std::istream& is,
   std::uint32_t version = 0;
   util::Digest128 stored;
   if (!r.u32(magic) || magic != kMagic) return std::nullopt;
-  // v1 (basis-less) entries are still accepted so existing cache
-  // directories survive the upgrade; anything else is stale or foreign.
-  if (!r.u32(version) || (version != kFormatVersion && version != 1)) {
-    return std::nullopt;
-  }
+  if (!r.u32(version) || version != kFormatVersion) return std::nullopt;
   if (!r.u64(stored.hi) || !r.u64(stored.lo) || !(stored == key)) {
     return std::nullopt;
   }
@@ -312,38 +310,37 @@ std::optional<lp::Solution> LpCache::read_entry(std::istream& is,
     if (!r.f64(v)) return std::nullopt;
   }
 
-  if (version >= 2) {
-    std::uint8_t warm = 0;
-    std::uint8_t has_basis = 0;
-    if (!r.i32(solution.refactorizations) || !r.u8(warm) || warm > 1 ||
-        !r.u8(has_basis) || has_basis > 1) {
-      return std::nullopt;
-    }
-    solution.warm_started = warm != 0;
-    if (has_basis != 0) {
-      lp::Basis basis;
-      std::uint64_t num_states = 0;
-      if (!r.vec_size(num_states, 1)) return std::nullopt;
-      basis.state.resize(static_cast<std::size_t>(num_states));
-      for (lp::VarStatus& s : basis.state) {
-        std::uint8_t raw = 0;
-        if (!r.u8(raw) || raw > static_cast<std::uint8_t>(lp::VarStatus::kBasic)) {
-          return std::nullopt;
-        }
-        s = static_cast<lp::VarStatus>(raw);
+  std::uint8_t warm = 0;
+  std::uint8_t has_basis = 0;
+  if (!r.i32(solution.refactorizations) || !r.u8(warm) || warm > 1 ||
+      !r.u8(has_basis) || has_basis > 1) {
+    return std::nullopt;
+  }
+  solution.warm_started = warm != 0;
+  if (has_basis != 0) {
+    lp::Basis basis;
+    std::uint64_t num_states = 0;
+    if (!r.vec_size(num_states, 1)) return std::nullopt;
+    basis.state.resize(static_cast<std::size_t>(num_states));
+    for (lp::VarStatus& s : basis.state) {
+      std::uint8_t raw = 0;
+      if (!r.u8(raw) ||
+          raw > static_cast<std::uint8_t>(lp::VarStatus::kBasic)) {
+        return std::nullopt;
       }
-      std::uint64_t num_basic = 0;
-      if (!r.vec_size(num_basic, 4)) return std::nullopt;
-      basis.basic.resize(static_cast<std::size_t>(num_basic));
-      for (std::int32_t& row : basis.basic) {
-        // Basic entries index into state[]; anything outside is corruption.
-        if (!r.i32(row) || row < 0 ||
-            static_cast<std::uint64_t>(row) >= num_states) {
-          return std::nullopt;
-        }
-      }
-      solution.basis = std::move(basis);
+      s = static_cast<lp::VarStatus>(raw);
     }
+    std::uint64_t num_basic = 0;
+    if (!r.vec_size(num_basic, 4)) return std::nullopt;
+    basis.basic.resize(static_cast<std::size_t>(num_basic));
+    for (std::int32_t& row : basis.basic) {
+      // Basic entries index into state[]; anything outside is corruption.
+      if (!r.i32(row) || row < 0 ||
+          static_cast<std::uint64_t>(row) >= num_states) {
+        return std::nullopt;
+      }
+    }
+    solution.basis = std::move(basis);
   }
 
   const std::size_t payload_size = r.position();

@@ -1,31 +1,23 @@
 #pragma once
-// Pluggable entering-variable pricing for the revised simplex.
-//
-// Two rules sit behind SolveOptions::pricing:
-//
-//  - Dantzig: score a candidate by its rate of objective improvement
-//    |d_j|.  No state; cheapest per scan, but blind to how "long" the
-//    entering edge is, so it can take many short steps on skewed polytopes.
-//  - Steepest edge (Devex reference framework, Forrest-Goldfarb style
-//    approximation): score by d_j^2 / gamma_j, where gamma_j approximates
-//    the squared norm of the edge direction in a reference framework.
-//    Weights start at 1 and are updated from the pivot row each basis
-//    change; when they overflow the trust bound the framework resets.
+// Entering-variable pricing for the revised simplex: Devex-style steepest
+// edge (reference framework, Forrest-Goldfarb style approximation).  A
+// candidate scores d_j^2 / gamma_j, where gamma_j approximates the squared
+// norm of the edge direction in a reference framework.  Weights start at 1
+// and are updated from the pivot row each basis change; when they overflow
+// the trust bound the framework resets.
 //
 // The candidate scan itself lives in the solver (it owns states/bounds);
 // this class only scores candidates and maintains the Devex weights.
 
 #include <vector>
 
-#include "omn/lp/simplex.hpp"
-
 namespace omn::lp {
 
 class Pricer {
  public:
   /// Starts a fresh reference framework over `num_columns` candidate
-  /// columns.  Called at phase starts; cheap for Dantzig.
-  void reset(Pricing rule, int num_columns);
+  /// columns.  Called at phase starts.
+  void reset(int num_columns);
 
   /// Score for candidate j whose improvement rate is `dj` (> 0, already
   /// sign-adjusted for the bound the variable sits at).  Higher wins.
@@ -34,14 +26,11 @@ class Pricer {
   /// Devex weight update after a basis change: entering column q with
   /// pivot element `alpha_q` = alpha_row[q], leaving column `leaving`;
   /// `alpha_row` is the pivot row in candidate-column space (only entries
-  /// for columns < reset()'s num_columns are read).  No-op for Dantzig.
+  /// for columns < reset()'s num_columns are read).
   void on_pivot(int q, int leaving, double alpha_q,
                 const std::vector<double>& alpha_row);
 
-  Pricing rule() const { return rule_; }
-
  private:
-  Pricing rule_ = Pricing::kDantzig;
   std::vector<double> weights_;
   double max_weight_ = 1.0;
 };

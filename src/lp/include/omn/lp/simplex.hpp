@@ -9,9 +9,9 @@
 // factorization with product-form (eta-file) updates and periodic
 // refactorization, and solves B·y = a_q / Bᵀ·z = c_B by substitution.
 // Per-pivot work is proportional to basis fill, not to the full tableau,
-// which is what the overlay LPs' extreme sparsity rewards.  Pricing is
-// pluggable (`SolveOptions::pricing`): Dantzig or Devex-style steepest
-// edge with reference-framework weight updates.
+// which is what the overlay LPs' extreme sparsity rewards.  It prices
+// Devex-style steepest edge with reference-framework weight updates
+// (lp::Pricer).
 //
 // solve_dense_reference() runs the original dense full-tableau core on
 // the same standard form.  It is a test and benchmark reference only
@@ -51,14 +51,17 @@ enum class SolveStatus {
 
 std::string to_string(SolveStatus status);
 
-/// Entering-variable rule for the revised core.  The dense reference
-/// ignores this and always prices Dantzig, so its pivot counts stay pinned.
-enum class Pricing : std::uint8_t {
-  kDantzig = 0,       ///< most-negative reduced cost
-  kSteepestEdge = 1,  ///< Devex reference-framework weights (default)
-};
+// Tolerances both cores share.  They are constants, not options; the LP
+// cache key still hashes them so an edit here invalidates stale entries.
 
-std::string to_string(Pricing pricing);
+/// Reduced-cost optimality tolerance.
+inline constexpr double kOptimalityTol = 1e-9;
+/// Feasibility tolerance for phase-I residual and final checks.
+inline constexpr double kFeasibilityTol = 1e-7;
+/// Minimum admissible pivot magnitude.
+inline constexpr double kPivotTol = 1e-8;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+inline constexpr int kDegenerateSwitch = 64;
 
 /// Per-column simplex status in an exported basis.
 enum class VarStatus : std::uint8_t {
@@ -82,16 +85,6 @@ struct Basis {
 struct SolveOptions {
   /// 0 = automatic: max(20000, 60 * (rows + vars)).
   int max_iterations = 0;
-  /// Reduced-cost optimality tolerance.
-  double optimality_tol = 1e-9;
-  /// Feasibility tolerance for phase-I residual and final checks.
-  double feasibility_tol = 1e-7;
-  /// Minimum admissible pivot magnitude.
-  double pivot_tol = 1e-8;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  int degenerate_switch = 64;
-  /// Entering rule for the revised core (measured default: steepest edge).
-  Pricing pricing = Pricing::kSteepestEdge;
   /// Eta updates accumulated before the revised core refactorizes the basis
   /// LU (numeric drift triggers an early refactorization regardless).
   /// Values < 1 behave as 1.
@@ -140,9 +133,9 @@ class SimplexSolver {
 
 /// Solves `model` with the dense full-tableau reference core.  Only tests
 /// and E14 call it: it is the oracle the revised core is checked against,
-/// never a production path.  Honours the tolerances, the iteration limit,
-/// and the Bland switch; ignores pricing, refactor_interval, and
-/// warm_start_basis, and exports no refactorization count.
+/// never a production path.  Honours the iteration limit; ignores
+/// refactor_interval and warm_start_basis, and exports no refactorization
+/// count.
 Solution solve_dense_reference(const Model& model,
                                const SolveOptions& options = {});
 

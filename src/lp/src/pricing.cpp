@@ -14,24 +14,17 @@ constexpr double kWeightResetBound = 1e10;
 
 }  // namespace
 
-void Pricer::reset(Pricing rule, int num_columns) {
-  rule_ = rule;
+void Pricer::reset(int num_columns) {
   max_weight_ = 1.0;
-  if (rule_ == Pricing::kSteepestEdge) {
-    weights_.assign(static_cast<std::size_t>(num_columns), 1.0);
-  } else {
-    weights_.clear();
-  }
+  weights_.assign(static_cast<std::size_t>(num_columns), 1.0);
 }
 
 double Pricer::score(int j, double dj) const {
-  if (rule_ != Pricing::kSteepestEdge) return dj;
   return dj * dj / weights_[static_cast<std::size_t>(j)];
 }
 
 void Pricer::on_pivot(int q, int leaving, double alpha_q,
                       const std::vector<double>& alpha_row) {
-  if (rule_ != Pricing::kSteepestEdge) return;
   if (max_weight_ > kWeightResetBound) {
     std::fill(weights_.begin(), weights_.end(), 1.0);
     max_weight_ = 1.0;

@@ -23,14 +23,6 @@ std::string to_string(SolveStatus status) {
   return "unknown";
 }
 
-std::string to_string(Pricing pricing) {
-  switch (pricing) {
-    case Pricing::kDantzig: return "dantzig";
-    case Pricing::kSteepestEdge: return "steepest-edge";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::size_t uz(int v) { return static_cast<std::size_t>(v); }
@@ -186,7 +178,7 @@ class DenseTableau {
         return out;
       }
       // Phase I objective = sum of artificial values.
-      if (phase_objective() > opts_.feasibility_tol * scale_) {
+      if (phase_objective() > kFeasibilityTol * scale_) {
         out.status = SolveStatus::kInfeasible;
         finalize(out);
         return out;
@@ -353,7 +345,7 @@ class DenseTableau {
       double pivot_abs = 0.0;
       for (int r = 0; r < m_; ++r) {
         const double a = column[uz(r)];
-        if (std::abs(a) <= opts_.pivot_tol) continue;
+        if (std::abs(a) <= kPivotTol) continue;
         const int b = basis_[uz(r)];
         const double delta = sigma * a;  // basic value moves by -delta * t
         double t;
@@ -403,7 +395,7 @@ class DenseTableau {
       }
 
       if (best_t <= 1e-12) {
-        if (++degenerate_streak >= opts_.degenerate_switch) bland = true;
+        if (++degenerate_streak >= kDegenerateSwitch) bland = true;
       } else {
         degenerate_streak = 0;
         bland = false;
@@ -418,7 +410,7 @@ class DenseTableau {
     // In phase II artificials are frozen at zero and never re-enter.
     const int limit = phase1 ? total_ : n_ + m_;
     int best = -1;
-    double best_score = opts_.optimality_tol;
+    double best_score = kOptimalityTol;
     for (int j = 0; j < limit; ++j) {
       const VarStatus s = state_[uz(j)];
       if (s == VarStatus::kBasic) continue;
@@ -564,7 +556,7 @@ class RevisedSolver {
     if (num_artificials_ > 0) {
       OMN_TRACE_SPAN("simplex.phase1");
       set_costs(/*phase1=*/true);
-      pricer_.reset(opts_.pricing, total_);
+      pricer_.reset(total_);
       if (!refactorize(/*phase1=*/true)) return numeric_failure(out);
       const SolveStatus s1 = iterate(/*phase1=*/true);
       out.phase1_iterations = iterations_;
@@ -574,7 +566,7 @@ class RevisedSolver {
         finalize(out);
         return out;
       }
-      if (phase1_objective() > opts_.feasibility_tol * sf_.scale) {
+      if (phase1_objective() > kFeasibilityTol * sf_.scale) {
         out.status = SolveStatus::kInfeasible;
         finalize(out);
         return out;
@@ -589,7 +581,7 @@ class RevisedSolver {
       OMN_TRACE_SPAN("simplex.phase2");
       set_costs(/*phase1=*/false);
       recompute_reduced_costs(/*phase1=*/false);
-      pricer_.reset(opts_.pricing, n_ + m_);
+      pricer_.reset(n_ + m_);
       out.status = iterate(/*phase1=*/false);
       OMN_TRACE_SAMPLE("simplex.pivots", iterations_);
     }
@@ -687,7 +679,7 @@ class RevisedSolver {
     // The imported basis must already be primal feasible for this model —
     // the usual case when only costs were perturbed.  Otherwise phase I
     // would be required anyway, so the cold start is no worse.
-    const double tol = opts_.feasibility_tol * sf_.scale;
+    const double tol = kFeasibilityTol * sf_.scale;
     for (int r = 0; r < m_; ++r) {
       const int j = basis_[uz(r)];
       if (beta_[uz(r)] < lower_[uz(j)] - tol) return false;
@@ -862,7 +854,7 @@ class RevisedSolver {
         d_[uz(q)] = fresh;
         const double improve =
             state_[uz(q)] == VarStatus::kAtLower ? -fresh : fresh;
-        if (improve <= opts_.optimality_tol) continue;  // was never eligible
+        if (improve <= kOptimalityTol) continue;  // was never eligible
       } else {
         d_[uz(q)] = fresh;
       }
@@ -877,7 +869,7 @@ class RevisedSolver {
       double pivot_abs = 0.0;
       for (int r = 0; r < m_; ++r) {
         const double a = w_[uz(r)];
-        if (std::abs(a) <= opts_.pivot_tol) continue;
+        if (std::abs(a) <= kPivotTol) continue;
         const int b = basis_[uz(r)];
         const double delta = sigma * a;
         double t;
@@ -926,7 +918,7 @@ class RevisedSolver {
       }
 
       if (best_t <= 1e-12) {
-        if (++degenerate_streak >= opts_.degenerate_switch) bland = true;
+        if (++degenerate_streak >= kDegenerateSwitch) bland = true;
       } else {
         degenerate_streak = 0;
         bland = false;
@@ -949,7 +941,7 @@ class RevisedSolver {
       if (upper_[uz(j)] - lower_[uz(j)] <= 0.0) continue;  // fixed
       const double dj = d_[uz(j)];
       const double improve = s == VarStatus::kAtLower ? -dj : dj;
-      if (improve <= opts_.optimality_tol) continue;
+      if (improve <= kOptimalityTol) continue;
       if (bland) return j;  // first eligible index
       const double score = pricer_.score(j, improve);
       if (score > best_score) {

@@ -31,7 +31,9 @@ util::Digest128 config_digest(const core::DesignerConfig& config) {
   // The retired simplex-core selector, hashed as its only value (0 =
   // revised) so journals written before its removal still resume.
   hasher.u32(0);
-  hasher.u32(static_cast<std::uint32_t>(config.lp_options.pricing));
+  // The retired pricing selector, hashed as its only value (1 = steepest
+  // edge) for the same reason.
+  hasher.u32(1);
   return hasher.digest();
 }
 

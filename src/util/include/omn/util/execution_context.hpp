@@ -20,8 +20,8 @@
 //  - `ExecutionContext::serial()` has no pool at all — every parallel_for
 //    runs inline on the calling thread (useful for baselines and tests).
 //
-// Scheduling: parallel_for uses *dynamic* chunking — claimants pull
-// `grain` indices at a time off a shared atomic counter — so skewed
+// Scheduling: parallel_for uses *dynamic* scheduling — claimants pull
+// one index at a time off a shared atomic counter — so skewed
 // per-item workloads (e.g. color-constrained design cells next to plain
 // ones) balance instead of straggling behind a static partition.  For
 // callers whose determinism depends on the partition itself (the packet
@@ -66,13 +66,10 @@ class ExecutionContext {
     /// (0 = the context's full concurrency).  The cap bounds *this call's*
     /// claimants only; the shared pool is never resized.
     std::size_t max_parallelism = 0;
-    /// Indices claimed per grab from the shared counter.  Larger grains
-    /// amortize the atomic per item; 1 (the default) balances best.
-    std::size_t grain = 1;
   };
 
-  /// Runs body(i) for every i in [0, count) with dynamic chunking:
-  /// claimants pull `grain` indices at a time from an atomic counter, so
+  /// Runs body(i) for every i in [0, count) with dynamic scheduling:
+  /// claimants pull one index at a time from an atomic counter, so
   /// expensive items never straggle behind a static partition.  The
   /// calling thread participates and help-runs unrelated queued work while
   /// waiting; nested and concurrent calls are safe.  Rethrows the first
@@ -101,8 +98,7 @@ class ExecutionContext {
   /// min(count, width), every chunk non-empty, 0 when count == 0.
   static std::size_t chunk_count(std::size_t count, std::size_t width);
 
-  /// The wrapped pool, or nullptr for a serial context.  Exposed for
-  /// callers that need submit()/wait_idle() directly.
+  /// The wrapped pool, or nullptr for a serial context.
   ThreadPool* pool() const { return pool_.get(); }
 
   // ---- shared services ----------------------------------------------------

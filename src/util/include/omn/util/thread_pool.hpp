@@ -7,7 +7,9 @@
 // pools directly.
 //
 // Design notes (following the hpc-parallel guides):
-//  - workers are created once and joined in stop()/the destructor (RAII);
+//  - workers are created once and joined in the destructor (RAII);
+//  - parallel_for is the one way to run work, so every queued closure
+//    belongs to some waiter's batch;
 //  - parallel_for hands each worker a contiguous index range, so shared
 //    inputs are read-only and each worker writes only to its own slot —
 //    no locks on the hot path;
@@ -16,8 +18,8 @@
 //    a task) never cross-talk: each waiter blocks only on its own chunks
 //    and help-runs queued tasks while it waits, which also makes nested
 //    parallel_for deadlock-free on a saturated pool;
-//  - task exceptions are captured and rethrown to the waiter
-//    (parallel_for / wait_idle), never std::terminate;
+//  - chunk exceptions are captured and rethrown to the parallel_for
+//    caller, never std::terminate;
 //  - the pool degrades gracefully to inline execution when hardware
 //    concurrency is 1 (as on single-core CI machines).
 
@@ -36,29 +38,13 @@ class ThreadPool {
  public:
   /// threads == 0 selects std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t threads = 0);
+  /// Drains the queue and joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const {
-    LockGuard lock(mutex_);
-    return workers_.size();
-  }
-
-  /// Enqueues a task; tasks may not themselves block on the pool (they may
-  /// call parallel_for, which help-runs instead of blocking).  If the task
-  /// throws, the first exception is rethrown by the next wait_idle().
-  /// Throws std::runtime_error if the pool has been stopped.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first exception any of them raised (if any).
-  void wait_idle();
-
-  /// Drains the queue, joins all workers, and rejects further submit()
-  /// and parallel_for() calls.  Idempotent; called by the destructor.
-  void stop();
+  std::size_t size() const { return workers_.size(); }
 
   /// Splits [0, count) into `parts = min(count, size() + 1)` contiguous
   /// chunks and runs body(begin, end, chunk_index) with chunk_index in
@@ -89,16 +75,15 @@ class ThreadPool {
   /// Blocks until batch.pending == 0, executing queued tasks while waiting.
   void help_until_done(Batch& batch);
 
-  mutable Mutex mutex_;
-  std::vector<std::thread> workers_ OMN_GUARDED_BY(mutex_);
+  Mutex mutex_;
   std::queue<std::function<void()>> queue_ OMN_GUARDED_BY(mutex_);
   CondVar cv_task_;   // workers: queue non-empty or stopping
-  CondVar cv_idle_;   // wait_idle: in_flight_ == 0
   CondVar cv_batch_;  // batch waiters: done or stealable work
-  std::size_t in_flight_ OMN_GUARDED_BY(mutex_) = 0;
   bool stopping_ OMN_GUARDED_BY(mutex_) = false;
-  /// First exception from a plain submit() task.
-  std::exception_ptr error_ OMN_GUARDED_BY(mutex_);
+  /// Written only by the constructor and destructor, when no other thread
+  /// may call in (workers never touch it), so reads need no lock.
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace omn::util

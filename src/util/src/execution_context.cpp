@@ -64,40 +64,34 @@ void ExecutionContext::parallel_for(
     std::size_t count, const std::function<void(std::size_t)>& body,
     ForOptions options) const {
   if (count == 0) return;
-  const std::size_t grain = std::max<std::size_t>(1, options.grain);
   std::size_t width = concurrency();
   if (options.max_parallelism > 0) {
     width = std::min(width, options.max_parallelism);
   }
   // One claimant slot per thread that could usefully participate.
-  const std::size_t slots = std::min(width, (count + grain - 1) / grain);
+  const std::size_t slots = std::min(width, count);
   if (pool_ == nullptr || slots <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
 
-  // Each slot loops pulling the next grain of indices off the shared
-  // counter until the range is exhausted — work-stealing by construction,
-  // so a slot stuck on an expensive item simply stops claiming while the
-  // others drain the rest.  The pool-level parallel_for supplies the
-  // batch tracking (the caller runs one slot itself and help-runs queued
-  // work while waiting) and rethrows the first exception.
+  // Each slot loops claiming the next index off the shared counter until
+  // the range is exhausted — work-stealing by construction, so a slot
+  // stuck on an expensive item simply stops claiming while the others
+  // drain the rest.  The pool-level parallel_for supplies the batch
+  // tracking (the caller runs one slot itself and help-runs queued work
+  // while waiting) and rethrows the first exception.
   std::atomic<std::size_t> next{0};
   pool_->parallel_for(slots, [&](std::size_t, std::size_t, std::size_t) {
     for (;;) {
-      const std::size_t begin =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const std::size_t end = std::min(count, begin + grain);
-      // One span per claimed grain: in a trace, the claim spans on each
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      // One span per claimed item: in a trace, the claim spans on each
       // worker lane show exactly how the dynamic partition balanced (or
       // didn't).  The name is built lazily — untraced runs skip it.
-      OMN_TRACE_SPAN([&] {
-        return "ctx.chunk " + std::to_string(begin) + ".." +
-               std::to_string(end);
-      });
+      OMN_TRACE_SPAN([&] { return "ctx.item " + std::to_string(i); });
       try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
+        body(i);
       } catch (...) {
         // Abandon unclaimed items so sibling slots wind down promptly.
         next.store(count, std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "omn/util/thread_pool.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace omn::util {
@@ -10,68 +9,21 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // Construction is single-threaded by definition; the analysis does not
-  // require mutex_ here (the object is not yet shared), and the worker
-  // threads only observe workers_ through their own entry point.
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
-ThreadPool::~ThreadPool() { stop(); }
-
-void ThreadPool::stop() {
-  // Claim the worker handles under the lock, then join outside it: the
-  // workers themselves need mutex_ to drain the queue and exit.
-  std::vector<std::thread> claimed;
+ThreadPool::~ThreadPool() {
   {
     LockGuard lock(mutex_);
-    if (stopping_) return;
     stopping_ = true;
-    claimed.swap(workers_);
   }
   cv_task_.notify_all();
-  for (auto& worker : claimed) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  // The queued closure owns its whole lifecycle: run, capture the first
-  // exception for wait_idle(), and retire from the in-flight count.  That
-  // way worker_loop and help_until_done can execute any queued closure
-  // without knowing whether it came from submit() or parallel_for().
-  auto wrapped = [this, t = std::move(task)] {
-    std::exception_ptr err;
-    try {
-      t();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    LockGuard lock(mutex_);
-    if (err && !error_) error_ = err;
-    --in_flight_;
-    if (in_flight_ == 0) cv_idle_.notify_all();
-  };
-  {
-    LockGuard lock(mutex_);
-    if (stopping_) {
-      throw std::runtime_error("ThreadPool::submit called after stop()");
-    }
-    queue_.push(std::move(wrapped));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-  cv_batch_.notify_all();
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr err;
-  {
-    LockGuard lock(mutex_);
-    while (in_flight_ != 0) cv_idle_.wait(mutex_);
-    err = std::exchange(error_, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
+  // Join outside the lock: the workers need mutex_ to drain the queue and
+  // exit.
+  for (auto& worker : workers_) worker.join();
 }
 
 void ThreadPool::parallel_for(
@@ -87,9 +39,6 @@ void ThreadPool::parallel_for(
   batch.pending = parts;
   {
     LockGuard lock(mutex_);
-    if (stopping_) {
-      throw std::runtime_error("ThreadPool::parallel_for called after stop()");
-    }
     for (std::size_t p = 1; p < parts; ++p) {
       const std::size_t begin = p * chunk;
       const std::size_t end = std::min(count, begin + chunk);
@@ -103,11 +52,8 @@ void ThreadPool::parallel_for(
         LockGuard inner(mutex_);
         if (err && !batch.error) batch.error = err;
         --batch.pending;
-        --in_flight_;
-        if (in_flight_ == 0) cv_idle_.notify_all();
         cv_batch_.notify_all();
       });
-      ++in_flight_;
     }
   }
   cv_task_.notify_all();

@@ -68,23 +68,6 @@ TEST(ExecutionContext, SkewedWorkloadsVisitEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ExecutionContext, GrainBatchesStillCoverEverything) {
-  const ExecutionContext ctx(4);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> touched(kN);
-  ctx.parallel_for(
-      kN, [&](std::size_t i) { touched[i].fetch_add(1); },
-      {.max_parallelism = 0, .grain = 64});
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
-  }
-  // A grain larger than the range degrades to one serial pass.
-  std::vector<std::size_t> order;
-  ctx.parallel_for(4, [&](std::size_t i) { order.push_back(i); },
-                   {.max_parallelism = 0, .grain = 100});
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
 TEST(ExecutionContext, MaxParallelismOneIsDeterministicallySerial) {
   const ExecutionContext ctx(4);
   std::vector<std::size_t> order;

@@ -1,7 +1,7 @@
 // Golden round-trip regression tests for the persisted formats:
 //   net/serialize  (omn-instance v1, text)
 //   core/design_io (omn-design v1, text)
-//   core/lp_cache  (LP cache entry v1, binary)
+//   core/lp_cache  (LP cache entry v2, binary; v1 must be rejected)
 //
 // Each golden file under tests/data/ was produced by the writers
 // themselves and committed; the tests check
@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -163,7 +164,7 @@ TEST(GoldenDesign, WriteReadDeepEqual) {
   expect_deep_equal(design, reloaded);
 }
 
-// ---- LP cache entry (binary v2, legacy v1) --------------------------------
+// ---- LP cache entry (binary v2; v1 kept as a rejection input) ------------
 
 /// The fixed (key, solution) pair the golden entries were generated from.
 omn::util::Digest128 golden_cache_key() {
@@ -220,36 +221,30 @@ TEST(GoldenLpCacheEntry, LoadsAndReserializesByteExact) {
   EXPECT_EQ(out.str(), golden);
 }
 
-TEST(GoldenLpCacheEntry, ReadsLegacyV1Entries) {
-  // Pre-basis cache directories must keep working: the committed v1 entry
-  // still loads, with the v2-only fields at their defaults.
+TEST(GoldenLpCacheEntry, RejectsLegacyV1Entries) {
+  // A v1 (pre-basis) file in a cache directory is a stale entry:
+  // read_entry refuses it, so the disk tier counts it as rejected and the
+  // caller re-solves.
   const std::string golden = slurp(data_path("lp_cache_entry_v1.bin"));
   ASSERT_FALSE(golden.empty());
 
   std::istringstream in(golden);
-  const std::optional<omn::lp::Solution> loaded =
-      omn::core::LpCache::read_entry(in, golden_cache_key());
-  ASSERT_TRUE(loaded.has_value());
-  const omn::lp::Solution expected = golden_cache_solution();
-  EXPECT_EQ(loaded->status, expected.status);
-  EXPECT_EQ(loaded->objective, expected.objective);
-  EXPECT_EQ(loaded->iterations, expected.iterations);
-  EXPECT_EQ(loaded->phase1_iterations, expected.phase1_iterations);
-  EXPECT_EQ(loaded->max_violation, expected.max_violation);
-  EXPECT_EQ(loaded->x, expected.x);
-  EXPECT_EQ(loaded->refactorizations, 0);
-  EXPECT_FALSE(loaded->warm_started);
-  EXPECT_FALSE(loaded->basis.has_value());
+  EXPECT_FALSE(omn::core::LpCache::read_entry(in, golden_cache_key())
+                   .has_value());
 
-  // Re-serializing writes v2 bytes: same value, current format.
-  std::ostringstream out;
-  omn::core::LpCache::write_entry(out, golden_cache_key(), *loaded);
-  EXPECT_NE(out.str(), golden);
-  std::istringstream reread(out.str());
-  const std::optional<omn::lp::Solution> upgraded =
-      omn::core::LpCache::read_entry(reread, golden_cache_key());
-  ASSERT_TRUE(upgraded.has_value());
-  EXPECT_EQ(upgraded->x, expected.x);
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "omn-golden-lpsol-v1";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir / (golden_cache_key().hex() + ".lpsol"),
+                      std::ios::binary);
+    out << golden;
+  }
+  omn::core::LpCache cache(dir.string());
+  EXPECT_FALSE(cache.find(golden_cache_key()).has_value());
+  EXPECT_EQ(cache.stats().rejected, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
 }
 
 TEST(GoldenLpCacheEntry, WriteReadRoundTripsExactly) {
@@ -292,11 +287,12 @@ TEST(GoldenLpCacheEntry, TruncatedEntryRejected) {
 }
 
 TEST(GoldenLpCacheEntry, VersionMismatchRejected) {
-  // v1 and v2 are the only versions read_entry accepts; anything newer (or
-  // zero) is a stale/foreign file.  Patching the version also breaks the
-  // checksum, but the version gate must reject first — a future v3 writer
-  // shares the magic, not the layout.
-  for (const std::uint8_t version : {std::uint8_t{0}, std::uint8_t{3}}) {
+  // v2 is the only version read_entry accepts; anything older or newer
+  // (or zero) is a stale/foreign file.  Patching the version also breaks
+  // the checksum, but the version gate must reject first — a future v3
+  // writer shares the magic, not the layout.
+  for (const std::uint8_t version :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{3}}) {
     std::string golden = slurp(data_path("lp_cache_entry_v2.bin"));
     ASSERT_GT(golden.size(), 8u);
     golden[4] = static_cast<char>(version);  // little-endian u32 after magic

@@ -162,9 +162,9 @@ TEST(InstanceDigest, KeyCoversBuildAndSolveOptions) {
   no_cut.cutting_plane = false;
   EXPECT_FALSE(base == LpCache::key(inst, no_cut, {}));
 
-  lp::SolveOptions tighter;
-  tighter.optimality_tol = 1e-10;
-  EXPECT_FALSE(base == LpCache::key(inst, {}, tighter));
+  lp::SolveOptions capped;
+  capped.max_iterations = 100;
+  EXPECT_FALSE(base == LpCache::key(inst, {}, capped));
 }
 
 TEST(InstanceDigest, KeyIsPinned) {

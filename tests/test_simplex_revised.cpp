@@ -3,9 +3,9 @@
 //
 //  - Differential property: ~200 random bounded LPs — feasible,
 //    infeasible, unbounded, and degenerate by construction — solved by
-//    the dense tableau and by the revised solver under both pricing
-//    rules must agree on status, objective (within tolerance), and
-//    primal feasibility.  The dense tableau is the textbook-transparent
+//    the dense tableau and by the revised solver (steepest-edge pricing)
+//    must agree on status, objective (within tolerance), and primal
+//    feasibility.  The dense tableau is the textbook-transparent
 //    oracle; the revised solver is the production path.
 //  - Dense phase-II pivot pinning: the frozen-artificial-column
 //    optimization (skipping artificial columns in phase-II pivot row
@@ -34,7 +34,6 @@ namespace {
 using omn::lp::Basis;
 using omn::lp::kInfinity;
 using omn::lp::Model;
-using omn::lp::Pricing;
 using omn::lp::RowSense;
 using omn::lp::SimplexSolver;
 using omn::lp::Solution;
@@ -122,22 +121,16 @@ TEST(RevisedSimplexDifferential, AgreesWithDenseTableauOn200RandomLps) {
     const Solution dense = omn::lp::solve_dense_reference(model);
     ASSERT_NE(dense.status, SolveStatus::kIterationLimit) << "seed=" << seed;
 
-    for (const Pricing pricing : {Pricing::kDantzig, Pricing::kSteepestEdge}) {
-      SolveOptions revised_options;
-      revised_options.pricing = pricing;
-      const Solution revised = SimplexSolver().solve(model, revised_options);
-
-      ASSERT_EQ(revised.status, dense.status)
-          << "seed=" << seed << " pricing=" << to_string(pricing)
-          << " dense=" << to_string(dense.status)
-          << " revised=" << to_string(revised.status);
-      if (dense.status == SolveStatus::kOptimal) {
-        const double scale = 1.0 + std::abs(dense.objective);
-        EXPECT_NEAR(revised.objective, dense.objective, 1e-6 * scale)
-            << "seed=" << seed << " pricing=" << to_string(pricing);
-        EXPECT_LE(revised.max_violation, 1e-6) << "seed=" << seed;
-        EXPECT_LE(dense.max_violation, 1e-6) << "seed=" << seed;
-      }
+    const Solution revised = SimplexSolver().solve(model);
+    ASSERT_EQ(revised.status, dense.status)
+        << "seed=" << seed << " dense=" << to_string(dense.status)
+        << " revised=" << to_string(revised.status);
+    if (dense.status == SolveStatus::kOptimal) {
+      const double scale = 1.0 + std::abs(dense.objective);
+      EXPECT_NEAR(revised.objective, dense.objective, 1e-6 * scale)
+          << "seed=" << seed;
+      EXPECT_LE(revised.max_violation, 1e-6) << "seed=" << seed;
+      EXPECT_LE(dense.max_violation, 1e-6) << "seed=" << seed;
     }
     optimal += dense.status == SolveStatus::kOptimal;
     infeasible += dense.status == SolveStatus::kInfeasible;

@@ -15,16 +15,6 @@ namespace {
 
 using omn::util::ThreadPool;
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
@@ -122,21 +112,6 @@ TEST(ThreadPool, ChunkIndexStaysBelowChunkCount) {
   }
 }
 
-TEST(ThreadPool, SubmitExceptionPropagatesToWaitIdle) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([i] {
-      if (i == 3) throw std::runtime_error("task failed");
-    });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error is consumed; the pool stays usable.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPool, ParallelForRethrowsChunkException) {
   ThreadPool pool(3);
   EXPECT_THROW(
@@ -201,22 +176,6 @@ TEST(ThreadPool, NestedParallelForCompletes) {
   for (std::size_t i = 0; i < counts.size(); ++i) {
     ASSERT_EQ(counts[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ThreadPool, SubmitAfterStopThrows) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.stop();
-  // stop() drains the queue before joining.
-  EXPECT_EQ(counter.load(), 20);
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  EXPECT_THROW(
-      pool.parallel_for(10, [](std::size_t, std::size_t, std::size_t) {}),
-      std::runtime_error);
-  pool.stop();  // idempotent
 }
 
 }  // namespace

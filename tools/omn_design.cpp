@@ -4,15 +4,13 @@
 //   generate  --sinks N [--isps K] [--seed S] [--eu-heavy] --out inst.txt
 //   design    --instance inst.txt [--seed S] [--c C] [--colors]
 //             [--bandwidth] [--attempts A] [--threads T] [--lp-cache DIR]
-//             [--pricing steepest-edge|dantzig]
 //             [--out design.txt] [--metrics out.json]
 //   sweep     --instance inst.txt [--c C1,C2,...] [--seeds K]
 //             [--attempts A] [--threads T] [--lp-cache DIR]
 //             [--metrics out.json]
 //   serve     --instance inst.txt [--journal F] [--seed S] [--c C]
 //             [--colors] [--bandwidth] [--attempts A] [--threads T]
-//             [--warm-start] [--lp-cache DIR]
-//             [--pricing ...] [--metrics F]
+//             [--warm-start] [--lp-cache DIR] [--metrics F]
 //   run       script.omn          (command file: one subcommand per line)
 //   evaluate  --instance inst.txt --design design.txt
 //   simulate  --instance inst.txt --design design.txt [--packets P]
@@ -22,8 +20,9 @@
 // Each subcommand accepts exactly the options listed for it above: an
 // unknown or misspelled option, a value given to a stand-alone flag, or a
 // value option given without its value is a usage error (exit 2), and so
-// is a --c that is not positive, an empty --c list item, or --seeds 0;
-// all of these are caught before the instance is loaded.
+// is a --c that is not positive, an empty --c list item, --seeds 0,
+// --attempts 0, --packets 0, or an --isp-outage-prob outside [0, 1]; all
+// of these are caught before the instance is loaded.
 //
 // Global flags (any subcommand, any position; stripped before the
 // subcommand parser runs):
@@ -57,9 +56,6 @@
 // result — attempt seeds are deterministic, so the design is bit-identical
 // for every thread count.  `design --out` records the knobs and per-stage
 // timings as `meta` lines in the design file; `evaluate` reports them back.
-//
-// design/serve --pricing selects the revised simplex's entering rule
-// (see omn/lp/simplex.hpp).
 //
 // --lp-cache DIR installs a content-addressed core::LpCache over DIR:
 // the LP solve (the dominant design cost) is keyed on the instance's
@@ -97,7 +93,6 @@
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/designer.hpp"
 #include "omn/core/lp_cache.hpp"
-#include "omn/lp/simplex.hpp"
 #include "omn/net/serialize.hpp"
 #include "omn/obs/chrome_trace.hpp"
 #include "omn/serve/serve.hpp"
@@ -215,10 +210,17 @@ std::shared_ptr<omn::core::LpCache> make_lp_cache(const Args& args) {
   return std::make_shared<omn::core::LpCache>(dir);
 }
 
+/// --attempts A (default `fallback`).  0 is a usage error, not a silent
+/// single attempt.
+int attempts_arg(const Args& args, std::size_t fallback) {
+  const std::size_t attempts = args.get_count("attempts", fallback);
+  if (attempts == 0) throw UsageError("--attempts must be at least 1");
+  return static_cast<int>(attempts);
+}
+
 /// The designer knobs design and serve share: --seed, --c, --attempts,
-/// --threads, --colors, --bandwidth, --pricing.  A --c that is not
-/// positive or an unknown --pricing name is a usage error, not a silent
-/// default or a failure after the LP solve.
+/// --threads, --colors, --bandwidth.  A --c that is not positive is a
+/// usage error, not a failure after the LP solve.
 omn::core::DesignerConfig designer_config(const Args& args) {
   omn::core::DesignerConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
@@ -227,19 +229,10 @@ omn::core::DesignerConfig designer_config(const Args& args) {
     throw UsageError("bad --c value '" + args.get("c", "") +
                      "' (expected a positive number)");
   }
-  cfg.rounding_attempts = static_cast<int>(args.get_count("attempts", 3));
+  cfg.rounding_attempts = attempts_arg(args, 3);
   cfg.threads = static_cast<int>(args.get_count("threads", 0));
   cfg.color_constraints = args.has("colors");
   cfg.bandwidth_extension = args.has("bandwidth");
-  const std::string pricing = args.get("pricing", "steepest-edge");
-  if (pricing == "steepest-edge") {
-    cfg.lp_options.pricing = omn::lp::Pricing::kSteepestEdge;
-  } else if (pricing == "dantzig") {
-    cfg.lp_options.pricing = omn::lp::Pricing::kDantzig;
-  } else {
-    throw UsageError("bad --pricing value '" + pricing +
-                     "' (expected 'steepest-edge' or 'dantzig')");
-  }
   return cfg;
 }
 
@@ -276,11 +269,10 @@ int usage() {
       "  generate  --sinks N [--isps K] [--seed S] [--eu-heavy] --out F\n"
       "  design    --instance F [--seed S] [--c C] [--colors] [--bandwidth]\n"
       "            [--attempts A] [--threads T] [--lp-cache DIR] [--out F]\n"
-      "            [--pricing steepest-edge|dantzig] [--metrics F]\n"
+      "            [--metrics F]\n"
       "  serve     --instance F [--journal F] [--seed S] [--c C] [--colors]\n"
       "            [--bandwidth] [--attempts A] [--threads T] [--warm-start]\n"
-      "            [--lp-cache DIR] [--pricing ...]\n"
-      "            [--metrics F]    (event protocol on stdin; see header)\n"
+      "            [--lp-cache DIR] [--metrics F]  (event protocol on stdin)\n"
       "  sweep     --instance F [--c C1,C2,...] [--seeds K] [--attempts A]\n"
       "            [--threads T] [--lp-cache DIR] [--metrics F]\n"
       "  run       script.omn    (one subcommand per line; # comments)\n"
@@ -341,8 +333,7 @@ int cmd_design(const Args& args) {
               "(attempts %d, threads %s)\n",
               result.lp_seconds, result.rounding_seconds,
               result.attempts_made, threads_label.c_str());
-  std::printf("lp: %s | %d pivots (%d phase 1), %d refactorizations\n",
-              omn::lp::to_string(cfg.lp_options.pricing).c_str(),
+  std::printf("lp: %d pivots (%d phase 1), %d refactorizations\n",
               result.lp_iterations, result.lp_phase1_iterations,
               result.lp_refactorizations);
   if (cache != nullptr) {
@@ -423,7 +414,7 @@ int cmd_serve(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   const int seeds = static_cast<int>(args.get_count("seeds", 3));
-  const int attempts = static_cast<int>(args.get_count("attempts", 1));
+  const int attempts = attempts_arg(args, 1);
   if (seeds == 0) throw UsageError("--seeds must be at least 1");
   omn::core::SweepOptions options;
   options.threads = args.get_count("threads", 0);
@@ -552,13 +543,19 @@ int cmd_evaluate(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
+  omn::sim::SimulationConfig cfg;
+  cfg.num_packets = static_cast<long long>(args.get_count("packets", 100000));
+  if (cfg.num_packets == 0) throw UsageError("--packets must be at least 1");
+  cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
+  cfg.isp_outage_probability = args.get_double("isp-outage-prob", 0.0);
+  if (cfg.isp_outage_probability < 0.0 || cfg.isp_outage_probability > 1.0) {
+    throw UsageError("bad --isp-outage-prob value '" +
+                     args.get("isp-outage-prob", "") +
+                     "' (expected a probability in [0, 1])");
+  }
   const auto inst = omn::net::load_file(args.get("instance", ""));
   const auto design =
       omn::core::load_design_file(args.get("design", ""), inst);
-  omn::sim::SimulationConfig cfg;
-  cfg.num_packets = static_cast<long long>(args.get_count("packets", 100000));
-  cfg.seed = static_cast<std::uint64_t>(args.get_count("seed", 1));
-  cfg.isp_outage_probability = args.get_double("isp-outage-prob", 0.0);
   const auto report = omn::sim::simulate(inst, design, cfg);
   std::printf("%lld packets: %.1f%% of sinks meet their threshold, %.1f%% "
               "meet the 1/4 guarantee\n",
@@ -603,13 +600,13 @@ const std::map<std::string, Subcommand>& subcommands() {
        {cmd_generate, {"sinks", "isps", "seed", "out"}, {"eu-heavy"}}},
       {"design",
        {cmd_design,
-        {"instance", "seed", "c", "attempts", "threads", "pricing",
-         "lp-cache", "out", "metrics"},
+        {"instance", "seed", "c", "attempts", "threads", "lp-cache", "out",
+         "metrics"},
         {"colors", "bandwidth"}}},
       {"serve",
        {cmd_serve,
         {"instance", "journal", "seed", "c", "attempts", "threads",
-         "pricing", "lp-cache", "metrics"},
+         "lp-cache", "metrics"},
         {"colors", "bandwidth", "warm-start"}}},
       {"sweep",
        {cmd_sweep,
