@@ -8,7 +8,9 @@
 //
 //  - the ExecutionContext (one shared pool across every redesign);
 //  - an LpCache service on that context when DesignerConfig::lp_warm_start
-//    is set (installed automatically if the caller did not provide one):
+//    is set (installed automatically on the state's own copy of the
+//    context if the caller did not provide one, so it never reaches the
+//    caller's handle or ExecutionContext::global()):
 //    the byte tier serves *identical* re-solves (e.g. after a
 //    fail + restore pair returns the instance to a prior state) with zero
 //    pivots, and the shape index warm-starts *same-shaped* re-solves
@@ -67,8 +69,8 @@ class DesignState {
  public:
   /// Takes ownership of `base` (validated here).  When
   /// `config.lp_warm_start` is set and `context` carries no LpCache
-  /// service, a memory-only cache is installed on the context (shared by
-  /// every copy of that context handle).
+  /// service, a memory-only cache is installed on the state's own copy of
+  /// the context; the caller's handle is unchanged.
   DesignState(net::OverlayInstance base, DesignerConfig config,
               util::ExecutionContext context);
 

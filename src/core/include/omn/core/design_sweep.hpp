@@ -29,7 +29,8 @@
 // time (core::DesignState, `omn_design serve --warm-start`).
 //
 // LP cache: when a core::LpCache service is installed on the execution
-// context (context.set_service(...)), the planner consults it before
+// context handle run() is given (context.set_service(...) on that handle
+// or a handle it was copied from), the planner consults it before
 // solving, so repeated sweeps over the same topology — across run()
 // calls, benches, or repeat runs over one cache directory — skip the LP
 // work entirely; SweepReport::lp (an LpWork) makes that observable, and a
@@ -156,10 +157,11 @@ class DesignSweep {
                   const util::ExecutionContext& context) const;
 
   /// The context run(options) uses: serial() for explicitly serial sweeps
-  /// (avoids constructing the global pool), ExecutionContext::global()
-  /// otherwise.  Exposed so callers that must install a service first
-  /// (e.g. an LpCache) pick the same context — the CLI and bench_common
-  /// use this instead of restating the policy.
+  /// (avoids constructing the global pool), a copy of
+  /// ExecutionContext::global() otherwise.  Exposed so callers that must
+  /// install a service first (e.g. an LpCache) pick the same context —
+  /// the CLI and bench_common use this instead of restating the policy.
+  /// A service set on the returned copy stays on that copy.
   static util::ExecutionContext default_context(const SweepOptions& options);
 
  private:

@@ -96,8 +96,7 @@ struct DesignResult {
   double lp_objective = 0.0;
   int lp_iterations = 0;
   int lp_phase1_iterations = 0;
-  /// Basis refactorizations the revised solver performed (0 for the dense
-  /// tableau oracle).
+  /// Basis refactorizations the revised solver performed.
   int lp_refactorizations = 0;
 
   /// cost(design) / lp_objective (>= 1; the measured approximation ratio).
@@ -151,9 +150,11 @@ class OverlayDesigner {
 
   /// The context the no-context overloads run on: serial() when the
   /// config cannot use parallelism anyway (avoids constructing the global
-  /// pool), ExecutionContext::global() otherwise.  Exposed so callers
-  /// that must install a service first (e.g. an LpCache) can pick the
-  /// same context the designer would — the policy lives here only.
+  /// pool), a copy of ExecutionContext::global() otherwise.  Exposed so
+  /// callers that must install a service first (e.g. an LpCache) can pick
+  /// the same context the designer would — the policy lives here only.
+  /// The copy is the caller's own: a service set on it reaches no other
+  /// context.
   static util::ExecutionContext default_context(const DesignerConfig& config);
 
   /// Reuses a pre-built LP and its solution (for sweeps that vary only the

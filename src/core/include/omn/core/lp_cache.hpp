@@ -28,6 +28,8 @@
 //    installing the cache on a util::ExecutionContext
 //    (context.set_service(std::make_shared<LpCache>(...))); DesignSweep
 //    and OverlayDesigner consult the context's service automatically.
+//    The service lives on that handle and the copies made from it after
+//    the set, never on ExecutionContext::global().
 //  - on-disk (optional): one versioned binary file per entry in a cache
 //    directory, named by the key's hex digest.  Writes go to a unique
 //    temp file followed by an atomic rename, so two processes (say, two
@@ -76,7 +78,8 @@
 
 namespace omn::core {
 
-/// Cache traffic counters (monotonic since construction).
+/// Cache traffic counters (monotonic since construction).  These are the
+/// only cache counts; `serve`'s `stats` line reports its own session's.
 struct LpCacheStats {
   std::size_t hits = 0;         ///< memory_hits + disk_hits
   std::size_t memory_hits = 0;  ///< served from the in-memory tier

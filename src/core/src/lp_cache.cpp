@@ -156,7 +156,6 @@ std::optional<lp::Solution> LpCache::find(const util::Digest128& key) {
       ++stats_.hits;
       ++stats_.memory_hits;
       OMN_TRACE_INSTANT("cache.hit_memory");
-      OMN_COUNTER_ADD("cache.hits", 1);
       return it->second;
     }
   }
@@ -164,7 +163,6 @@ std::optional<lp::Solution> LpCache::find(const util::Digest128& key) {
     const util::LockGuard lock(mutex_);
     ++stats_.misses;
     OMN_TRACE_INSTANT("cache.miss");
-    OMN_COUNTER_ADD("cache.misses", 1);
     return std::nullopt;
   }
   return load_from_disk(key);
@@ -219,22 +217,18 @@ std::optional<lp::Solution> LpCache::load_from_disk(
     ++stats_.misses;
     if (rejected) ++stats_.rejected;
     OMN_TRACE_INSTANT("cache.miss");
-    OMN_COUNTER_ADD("cache.misses", 1);
     return std::nullopt;
   }
   memory_[key] = *entry;  // promote: later finds skip the disk
   ++stats_.hits;
   ++stats_.disk_hits;
   OMN_TRACE_INSTANT("cache.hit_disk");
-  OMN_COUNTER_ADD("cache.hits", 1);
-  OMN_COUNTER_ADD("cache.disk_reads", 1);
   return entry;
 }
 
 void LpCache::store_to_disk(const util::Digest128& key,
                             const lp::Solution& solution) {
   OMN_TRACE_SPAN("cache.disk_write");
-  OMN_COUNTER_ADD("cache.disk_writes", 1);
   // Readers (this process or another sharing the directory) only ever
   // observe complete entries; the tier is advisory, so a failed store —
   // write_file_atomic returns false — must never fail the solve.

@@ -1078,15 +1078,6 @@ class RevisedSolver {
   bool numeric_failure_ = false;
 };
 
-/// Live-counter bookkeeping shared by both solver backends; feeds the
-/// serve `stats` event and the counter tracks of a --trace export.
-void count_solve(const Solution& out) {
-  OMN_COUNTER_ADD("lp.solves", 1);
-  OMN_COUNTER_ADD("lp.pivots", static_cast<std::uint64_t>(out.iterations));
-  OMN_COUNTER_ADD("lp.refactorizations",
-                  static_cast<std::uint64_t>(out.refactorizations));
-}
-
 /// A model without rows is a pure box problem: each variable sits at the
 /// bound favoured by its objective coefficient.  Both cores defer to it.
 Solution solve_box(const Model& model) {
@@ -1118,18 +1109,14 @@ Solution SimplexSolver::solve(const Model& model,
                               const SolveOptions& options) const {
   if (model.num_rows() == 0) return solve_box(model);
   RevisedSolver solver(model, options);
-  Solution out = solver.run();
-  count_solve(out);
-  return out;
+  return solver.run();
 }
 
 Solution solve_dense_reference(const Model& model,
                                const SolveOptions& options) {
   if (model.num_rows() == 0) return solve_box(model);
   DenseTableau tableau(model, options);
-  Solution out = tableau.run();
-  count_solve(out);
-  return out;
+  return tableau.run();
 }
 
 }  // namespace omn::lp

@@ -1,6 +1,5 @@
 #include "omn/obs/chrome_trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -45,7 +44,6 @@ std::string chrome_trace_json(const std::vector<TimelineProcess>& processes,
       events.push(std::move(meta));
     }
 
-    std::int64_t max_ts = 0;
     for (const auto& thread : process.trace.threads) {
       for (const auto& event : thread.events) {
         const std::int64_t ts =
@@ -53,7 +51,6 @@ std::string chrome_trace_json(const std::vector<TimelineProcess>& processes,
                 ? static_cast<std::int64_t>(event.tick)
                 : process.offset_micros +
                       static_cast<std::int64_t>(event.micros);
-        max_ts = std::max(max_ts, ts);
         switch (event.kind) {
           case TraceEvent::Kind::kBegin:
             events.push(
@@ -79,17 +76,6 @@ std::string chrome_trace_json(const std::vector<TimelineProcess>& processes,
           }
         }
       }
-    }
-
-    // Final counter-registry values as one sample per counter, placed
-    // just past the process's last event so the counter tracks end at
-    // their final heights.
-    for (const auto& [name, value] : process.trace.counters) {
-      Json j = event_object(name, "C", process.pid, 0, max_ts + 1);
-      Json args = Json::object();
-      args.set("value", value);
-      j.set("args", std::move(args));
-      events.push(std::move(j));
     }
   }
 

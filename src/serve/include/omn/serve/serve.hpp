@@ -24,11 +24,15 @@
 //   ok <seq> stats events=<n> redesigns=<n> replayed=<n> pivots=<n>
 //      refactorizations=<n> warm_hits=<n> cache_hits=<n> cache_misses=<n>
 //      cache_disk_reads=<n> cache_disk_writes=<n> journal_seq=<seq>
-//      uptime_us=<n>                      (stats — live counters, no
-//                                         state change, never journaled)
+//      uptime_us=<n>                      (stats — this session's live
+//                                         counters, no state change,
+//                                         never journaled)
 //   ok <seq> snapshot journal=<path|none>
 //   ok <seq> bye                         (quit; EOF behaves like quit)
 //   err parse: <why> | err apply: <why>  (the session keeps running)
+// The stats cache_* fields read the session's own LpCache (all 0 without
+// one): cache_disk_reads is its disk hits, cache_disk_writes its
+// insertions when it has a directory.
 // run() additionally opens with `ok 0 ready ... replayed=<k>
 // digest=<hex32>` so a supervisor can see a resumed session converge
 // before sending anything.

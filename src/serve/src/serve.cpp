@@ -97,7 +97,6 @@ const core::DesignResult& ServeSession::apply_and_redesign(
     const Event& event) {
   apply_event(state_, event);
   ++stats_.events;
-  OMN_COUNTER_ADD("serve.events", 1);
   return redesign(&event);
 }
 
@@ -112,7 +111,6 @@ const core::DesignResult& ServeSession::redesign(const Event* event) {
     result = &state_.redesign();
   }
   ++stats_.redesigns;
-  OMN_COUNTER_ADD("serve.redesigns", 1);
   stats_.redesign_seconds.push_back(redesign_timer.seconds());
   stats_.lp += core::LpWork::of(
       *result, state_.context().find_service<core::LpCache>() != nullptr);
@@ -133,9 +131,16 @@ std::string ServeSession::ack_mutation(const Event& event,
 }
 
 std::string ServeSession::stats_line() const {
-  // Session tallies come from stats_; cache traffic comes from the live
-  // process-wide counter registry (the LpCache bumps those), so a shared
-  // cache's disk activity is visible even when this session caused none.
+  // Session tallies come from stats_; cache traffic comes from this
+  // session's own LpCache (all zero without one).  Every insertion into a
+  // cache with a directory is one disk write.
+  const std::shared_ptr<core::LpCache> cache =
+      state_.context().find_service<core::LpCache>();
+  const core::LpCacheStats cache_stats =
+      cache != nullptr ? cache->stats() : core::LpCacheStats{};
+  const std::size_t disk_writes =
+      cache != nullptr && !cache->directory().empty() ? cache_stats.insertions
+                                                      : 0;
   return "ok " + std::to_string(seq()) + " stats events=" +
          std::to_string(stats_.events) +
          " redesigns=" + std::to_string(stats_.redesigns) +
@@ -143,13 +148,10 @@ std::string ServeSession::stats_line() const {
          " pivots=" + std::to_string(stats_.lp.iterations) +
          " refactorizations=" + std::to_string(stats_.lp.refactorizations) +
          " warm_hits=" + std::to_string(stats_.lp.warm_start_hits) +
-         " cache_hits=" + std::to_string(util::counter_value("cache.hits")) +
-         " cache_misses=" +
-         std::to_string(util::counter_value("cache.misses")) +
-         " cache_disk_reads=" +
-         std::to_string(util::counter_value("cache.disk_reads")) +
-         " cache_disk_writes=" +
-         std::to_string(util::counter_value("cache.disk_writes")) +
+         " cache_hits=" + std::to_string(cache_stats.hits) +
+         " cache_misses=" + std::to_string(cache_stats.misses) +
+         " cache_disk_reads=" + std::to_string(cache_stats.disk_hits) +
+         " cache_disk_writes=" + std::to_string(disk_writes) +
          " journal_seq=" + std::to_string(seq()) + " uptime_us=" +
          std::to_string(static_cast<long long>(uptime_.microseconds()));
 }

@@ -14,7 +14,8 @@
 // Ownership rules:
 //  - `ExecutionContext::global()` is the process-wide default (hardware
 //    concurrency), constructed race-free on first use and reused by every
-//    caller that does not inject its own context;
+//    caller that does not inject its own context.  It is handed out as a
+//    const reference and carries no services: copy it to attach one;
 //  - `ExecutionContext(n)` owns a fresh pool of n - 1 workers; copies of
 //    the handle share it, and the pool is joined when the last copy dies;
 //  - `ExecutionContext::serial()` has no pool at all — every parallel_for
@@ -35,8 +36,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <typeindex>
+#include <utility>
 
 #include "omn/util/thread_pool.hpp"
 
@@ -50,10 +53,11 @@ class ExecutionContext {
   /// workers shared by all copies of the handle.
   explicit ExecutionContext(std::size_t threads = 0);
 
-  /// The process-wide default context (hardware concurrency).  The
-  /// underlying pool is constructed on first use (thread-safe, C++ magic
-  /// static) and lives for the rest of the process.
-  static ExecutionContext& global();
+  /// The process-wide default context (hardware concurrency, no
+  /// services).  The underlying pool is constructed on first use
+  /// (thread-safe, C++ magic static) and lives for the rest of the
+  /// process.
+  static const ExecutionContext& global();
 
   /// A context with no pool: all work runs inline on the calling thread.
   static ExecutionContext serial();
@@ -101,40 +105,43 @@ class ExecutionContext {
   /// The wrapped pool, or nullptr for a serial context.
   ThreadPool* pool() const { return pool_.get(); }
 
-  // ---- shared services ----------------------------------------------------
+  // ---- services -----------------------------------------------------------
   //
-  // A context also carries a type-erased registry of *services*: shared
-  // process state that wants the same scope and plumbing as the pool
-  // (e.g. core::LpCache, whose in-memory tier must be shared by every
-  // layer a sweep fans out through).  Copies of a context share one
-  // registry exactly as they share the pool — set a service on any copy
-  // and every holder of the same context sees it; global()'s registry is
-  // process-wide.  Each serial() call returns a *fresh* context, so keep
-  // a copy if its services must persist.  All access is thread-safe.
+  // A context also carries a type-erased map of *services*: state that
+  // wants the same plumbing as the pool (e.g. core::LpCache, whose
+  // in-memory tier must be shared by every layer a sweep fans out
+  // through).  The map is part of the handle's value: a copy starts with
+  // the services its source had at copy time, and set_service on one
+  // handle never changes another.  The service objects themselves are
+  // shared, so every copy that holds a cache talks to the same cache.
+  // global() carries none, so no caller can install a service for the
+  // whole process.  Set services before handing the context to other
+  // threads: find_service is a plain read, safe concurrently with other
+  // reads, not with set_service on the same handle.
 
-  /// The service of type T installed on this context, or nullptr.
+  /// The service of type T installed on this handle, or nullptr.
   template <typename T>
   std::shared_ptr<T> find_service() const {
-    return std::static_pointer_cast<T>(
-        find_service_erased(std::type_index(typeid(T))));
+    const auto it = services_.find(std::type_index(typeid(T)));
+    return it != services_.end() ? std::static_pointer_cast<T>(it->second)
+                                 : nullptr;
   }
 
-  /// Installs (or, with nullptr, removes) the service of type T.  The
-  /// registry keeps the shared_ptr alive as long as any context copy does.
+  /// Installs (or, with nullptr, removes) the service of type T on this
+  /// handle.  The handle and its later copies keep the object alive.
   template <typename T>
   void set_service(std::shared_ptr<T> service) {
-    set_service_erased(std::type_index(typeid(T)), std::move(service));
+    if (service == nullptr) {
+      services_.erase(std::type_index(typeid(T)));
+    } else {
+      services_[std::type_index(typeid(T))] = std::move(service);
+    }
   }
 
  private:
-  std::shared_ptr<void> find_service_erased(std::type_index type) const;
-  void set_service_erased(std::type_index type, std::shared_ptr<void> service);
-
   /// nullptr = serial context.
   std::shared_ptr<ThreadPool> pool_;
-  struct ServiceRegistry;
-  /// Never null: allocated by the constructor, shared by copies.
-  std::shared_ptr<ServiceRegistry> services_;
+  std::map<std::type_index, std::shared_ptr<void>> services_;
 };
 
 }  // namespace omn::util

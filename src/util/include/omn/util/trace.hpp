@@ -1,5 +1,5 @@
 #pragma once
-// Always-on tracing core: hierarchical spans + process-wide counters.
+// Tracing core: hierarchical spans, instants and counter samples.
 //
 // This is the recording half of omn::obs (the export half — Chrome
 // trace-event JSON — lives in src/obs, which depends on this header,
@@ -24,10 +24,10 @@
 //     serializes with tick-normalized timestamps so its bytes are
 //     machine-independent; real exports use steady-clock microseconds
 //     since the process trace epoch.
-//   - Named counters (TraceCounter / OMN_COUNTER_ADD) are ALWAYS live,
-//     independent of Trace::enabled(): a relaxed fetch_add on a cached
-//     atomic.  They feed `omn_design serve`'s `stats` event and are
-//     exported as final counter-track samples alongside the spans.
+//   - Work counts are not kept here.  Each has one owner
+//     (lp::Solution / core::LpWork, core::LpCacheStats,
+//     serve::ServeStats), so two runs in one process never read each
+//     other's numbers; OMN_TRACE_SAMPLE only records a traced sample.
 //
 // Buffers are append-only for the life of the process: drain() hands
 // out events recorded since the previous drain but never frees chunks,
@@ -82,8 +82,7 @@ class Trace {
     return detail::g_trace_enabled.load(std::memory_order_relaxed);
   }
 
-  /// Turns recording on/off process-wide.  Counters are unaffected
-  /// (always live).
+  /// Turns recording on/off process-wide.
   static void set_enabled(bool on);
 
   /// Steady-clock microseconds since the process trace epoch (the first
@@ -148,36 +147,6 @@ class TraceSpan {
   std::string name_;
 };
 
-/// Handle to one named process-wide counter: a cached pointer into the
-/// global registry, so add() is a single relaxed fetch_add.  Intended
-/// use is a function-local static (see OMN_COUNTER_ADD); construction
-/// takes the registry mutex once.
-class TraceCounter {
- public:
-  explicit TraceCounter(const std::string& name);
-
-  void add(std::uint64_t delta) {
-    cell_->fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  std::uint64_t value() const { return cell_->load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t>* cell_;
-};
-
-/// Snapshot of every registered counter, sorted by name (deterministic
-/// export order).  Values are cumulative since process start (or the
-/// last counters_reset_for_tests()).
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot();
-
-/// Current value of one counter; 0 if it was never registered.
-std::uint64_t counter_value(const std::string& name);
-
-/// Zeroes every registered counter.  Test isolation only — production
-/// counters are monotone by contract.
-void counters_reset_for_tests();
-
 }  // namespace omn::util
 
 #define OMN_TRACE_CONCAT_INNER(a, b) a##b
@@ -204,13 +173,4 @@ void counters_reset_for_tests();
       ::omn::util::Trace::sample(                                 \
           name, static_cast<double>(sample_value));               \
     }                                                             \
-  } while (0)
-
-/// Bumps a live named counter (always on, ~one relaxed fetch_add; the
-/// registry lookup happens once per site via the local static).
-#define OMN_COUNTER_ADD(counter_name, delta)                      \
-  do {                                                            \
-    static ::omn::util::TraceCounter omn_trace_counter_handle(    \
-        counter_name);                                            \
-    omn_trace_counter_handle.add(delta);                          \
   } while (0)

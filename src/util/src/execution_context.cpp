@@ -2,25 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 
-#include "omn/util/thread_annotations.hpp"
 #include "omn/util/trace.hpp"
 
 namespace omn::util {
 
-/// Type-erased service map shared by all copies of a context.  A plain
-/// mutex suffices: services are looked up once per high-level operation
-/// (a design, a sweep phase), never per grid cell or work item.
-struct ExecutionContext::ServiceRegistry {
-  Mutex mutex;
-  std::map<std::type_index, std::shared_ptr<void>> entries
-      OMN_GUARDED_BY(mutex);
-};
-
-ExecutionContext::ExecutionContext(std::size_t threads)
-    : services_(std::make_shared<ServiceRegistry>()) {
+ExecutionContext::ExecutionContext(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -29,27 +17,11 @@ ExecutionContext::ExecutionContext(std::size_t threads)
   }
 }
 
-std::shared_ptr<void> ExecutionContext::find_service_erased(
-    std::type_index type) const {
-  const LockGuard lock(services_->mutex);
-  const auto it = services_->entries.find(type);
-  return it != services_->entries.end() ? it->second : nullptr;
-}
-
-void ExecutionContext::set_service_erased(std::type_index type,
-                                          std::shared_ptr<void> service) {
-  const LockGuard lock(services_->mutex);
-  if (service == nullptr) {
-    services_->entries.erase(type);
-  } else {
-    services_->entries[type] = std::move(service);
-  }
-}
-
-ExecutionContext& ExecutionContext::global() {
+const ExecutionContext& ExecutionContext::global() {
   // Magic static: initialization is race-free even when the first callers
-  // are concurrent, and every caller gets the same pool.
-  static ExecutionContext context(0);
+  // are concurrent, and every caller gets the same pool.  Const: nobody
+  // can attach a service to it.
+  static const ExecutionContext context(0);
   return context;
 }
 

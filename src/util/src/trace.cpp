@@ -2,7 +2,6 @@
 
 #include <array>
 #include <chrono>
-#include <map>
 #include <memory>
 
 #include "omn/util/thread_annotations.hpp"
@@ -147,53 +146,6 @@ void record(TraceEvent::Kind kind, std::string name, double value) {
   buffer.append(std::move(event));
 }
 
-/// Counter registry: name -> leaked atomic cell.  std::map keeps the
-/// snapshot order sorted (deterministic export).
-class Counters {
- public:
-  static Counters& instance() {
-    static Counters* counters = new Counters;
-    return *counters;
-  }
-
-  std::atomic<std::uint64_t>& cell(const std::string& name) {
-    LockGuard lock(mutex_);
-    auto& slot = cells_[name];
-    if (!slot) slot = std::make_unique<std::atomic<std::uint64_t>>(0);
-    return *slot;
-  }
-
-  std::vector<std::pair<std::string, std::uint64_t>> snapshot() {
-    LockGuard lock(mutex_);
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(cells_.size());
-    for (const auto& [name, cell] : cells_) {
-      out.emplace_back(name, cell->load(std::memory_order_relaxed));
-    }
-    return out;
-  }
-
-  std::uint64_t value(const std::string& name) {
-    LockGuard lock(mutex_);
-    const auto found = cells_.find(name);
-    return found == cells_.end()
-               ? 0
-               : found->second->load(std::memory_order_relaxed);
-  }
-
-  void reset() {
-    LockGuard lock(mutex_);
-    for (auto& [name, cell] : cells_) {
-      cell->store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  Mutex mutex_;
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>> cells_
-      OMN_GUARDED_BY(mutex_);
-};
-
 }  // namespace
 
 void Trace::set_enabled(bool on) {
@@ -228,21 +180,6 @@ void Trace::begin_span(std::string name) {
 
 void Trace::end_span(std::string name) {
   record(TraceEvent::Kind::kEnd, std::move(name), 0.0);
-}
-
-TraceCounter::TraceCounter(const std::string& name)
-    : cell_(&Counters::instance().cell(name)) {}
-
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() {
-  return Counters::instance().snapshot();
-}
-
-std::uint64_t counter_value(const std::string& name) {
-  return Counters::instance().value(name);
-}
-
-void counters_reset_for_tests() {
-  Counters::instance().reset();
 }
 
 }  // namespace omn::util

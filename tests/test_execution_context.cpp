@@ -1,8 +1,9 @@
 // Tests for the shared ExecutionContext: dynamic (work-stealing)
 // parallel_for correctness under skewed workloads, nested/concurrent use
 // on one pool, race-free first use of the global context, exception
-// propagation, and the deterministic chunk partition the packet simulator
-// relies on.  Runs under the ThreadSanitizer CI job via the util label.
+// propagation, the deterministic chunk partition the packet simulator
+// relies on, and per-handle services.  Runs under the ThreadSanitizer CI
+// job via the util label.
 #include "omn/util/execution_context.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -143,13 +145,13 @@ TEST(ExecutionContext, GlobalIsOneSharedContextAndRaceFreeOnFirstUse) {
   // same context/pool and complete its batch.  (Under TSan this also
   // checks the magic-static initialization and the pool handoff.)
   constexpr int kThreads = 8;
-  std::vector<ExecutionContext*> seen(kThreads, nullptr);
+  std::vector<const ExecutionContext*> seen(kThreads, nullptr);
   std::vector<std::atomic<int>> sums(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ExecutionContext& ctx = ExecutionContext::global();
+      const ExecutionContext& ctx = ExecutionContext::global();
       seen[static_cast<std::size_t>(t)] = &ctx;
       ctx.parallel_for(100, [&](std::size_t) {
         sums[static_cast<std::size_t>(t)].fetch_add(1);
@@ -204,7 +206,7 @@ TEST(ExecutionContext, HandlesShareOnePool) {
   EXPECT_EQ(count.load(), 64);
 }
 
-// ---- shared services ------------------------------------------------------
+// ---- services -------------------------------------------------------------
 
 struct FakeCache {
   int value = 0;
@@ -219,30 +221,51 @@ TEST(ExecutionContextServices, AbsentByDefaultAndTypeKeyed) {
 
   ExecutionContext rw = ctx;
   rw.set_service(std::make_shared<FakeCache>(FakeCache{7}));
-  ASSERT_NE(ctx.find_service<FakeCache>(), nullptr);
-  EXPECT_EQ(ctx.find_service<FakeCache>()->value, 7);
+  ASSERT_NE(rw.find_service<FakeCache>(), nullptr);
+  EXPECT_EQ(rw.find_service<FakeCache>()->value, 7);
   // Keyed by type: another service type is a different slot.
-  EXPECT_EQ(ctx.find_service<OtherService>(), nullptr);
+  EXPECT_EQ(rw.find_service<OtherService>(), nullptr);
 }
 
-TEST(ExecutionContextServices, CopiesShareOneRegistry) {
-  ExecutionContext a(2);
-  const ExecutionContext b = a;
-  a.set_service(std::make_shared<FakeCache>(FakeCache{42}));
-  ASSERT_NE(b.find_service<FakeCache>(), nullptr);
-  EXPECT_EQ(b.find_service<FakeCache>()->value, 42);
-  EXPECT_EQ(a.find_service<FakeCache>(), b.find_service<FakeCache>());
+TEST(ExecutionContextServices, EachHandleCarriesItsOwnServices) {
+  const ExecutionContext original(2);
+  ExecutionContext copy = original;
+  copy.set_service(std::make_shared<FakeCache>(FakeCache{42}));
+  // A service set on a copy is invisible to the original ...
+  EXPECT_EQ(original.find_service<FakeCache>(), nullptr);
+  ASSERT_NE(copy.find_service<FakeCache>(), nullptr);
+  EXPECT_EQ(copy.find_service<FakeCache>()->value, 42);
 
-  // nullptr removes.
-  a.set_service<FakeCache>(nullptr);
-  EXPECT_EQ(b.find_service<FakeCache>(), nullptr);
+  // ... a copy made after the set sees it, as the same object, and still
+  // shares the pool ...
+  ExecutionContext later = copy;
+  EXPECT_EQ(later.find_service<FakeCache>(), copy.find_service<FakeCache>());
+  EXPECT_EQ(later.pool(), original.pool());
+
+  // ... and neither a set nor a removal (nullptr) on one handle changes
+  // another.
+  later.set_service(std::make_shared<OtherService>(OtherService{5}));
+  EXPECT_EQ(copy.find_service<OtherService>(), nullptr);
+  copy.set_service<FakeCache>(nullptr);
+  EXPECT_EQ(copy.find_service<FakeCache>(), nullptr);
+  ASSERT_NE(later.find_service<FakeCache>(), nullptr);
+  EXPECT_EQ(later.find_service<FakeCache>()->value, 42);
+}
+
+TEST(ExecutionContextServices, GlobalIsConstAndCarriesNoServices) {
+  static_assert(std::is_same_v<decltype(ExecutionContext::global()),
+                               const ExecutionContext&>);
+  ExecutionContext copy = ExecutionContext::global();
+  copy.set_service(std::make_shared<FakeCache>(FakeCache{3}));
+  EXPECT_EQ(ExecutionContext::global().find_service<FakeCache>(), nullptr);
+  EXPECT_EQ(copy.pool(), ExecutionContext::global().pool());
 }
 
 TEST(ExecutionContextServices, SerialContextsAreFresh) {
   ExecutionContext one = ExecutionContext::serial();
   one.set_service(std::make_shared<FakeCache>(FakeCache{1}));
   EXPECT_NE(one.find_service<FakeCache>(), nullptr);
-  // Each serial() call is a new context with an empty registry.
+  // Each serial() call is a new context with no services.
   EXPECT_EQ(ExecutionContext::serial().find_service<FakeCache>(), nullptr);
 }
 

@@ -6,7 +6,7 @@
 //     regenerates it on a deliberate format change); offset placement
 //     and metadata lanes are checked on the real-timestamp path.
 //   - export_trace: writes the calling process as one pid-0 lane.
-//   - drain_process_trace: spans and the counter snapshot.
+//   - drain_process_trace: the calling process's spans.
 #include "omn/obs/chrome_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ TraceEvent make_event(TraceEvent::Kind kind, std::string name,
 
 /// The fixed two-process timeline every serialization test (and the
 /// committed golden) is built from: a main process with two threads
-/// covering all four event kinds plus counters, and a second lane
+/// covering all four event kinds, and a second lane
 /// ("worker 1", pid 1) placed at a clock offset.
 ProcessTrace fixture_main_trace() {
   ProcessTrace trace;
@@ -79,8 +79,6 @@ ProcessTrace fixture_main_trace() {
   t1.events.push_back(make_event(TraceEvent::Kind::kBegin, "sweep.cell", 0, 15));
   t1.events.push_back(make_event(TraceEvent::Kind::kEnd, "sweep.cell", 1, 25));
   trace.threads.push_back(std::move(t1));
-  trace.counters.emplace_back("cache.hits", 3);
-  trace.counters.emplace_back("lp.solves", 2);
   return trace;
 }
 
@@ -94,7 +92,6 @@ ProcessTrace fixture_worker_trace() {
   t0.events.push_back(
       make_event(TraceEvent::Kind::kEnd, "designer.attempt", 1, 9));
   trace.threads.push_back(std::move(t0));
-  trace.counters.emplace_back("lp.solves", 1);
   return trace;
 }
 
@@ -109,7 +106,7 @@ std::vector<TimelineProcess> fixture_timeline() {
 
 TEST(ChromeTrace, GoldenNormalizedSerializationIsByteStable) {
   // Committed golden pins the normalized (tick-timestamp) serialization:
-  // key order, metadata lanes, instant scope, counter tracks.  Any
+  // key order, metadata lanes, instant scope, counter samples.  Any
   // format change must regenerate it with `test_obs write-golden` — an
   // explicit, reviewed decision, like the serve journal golden.
   const std::string golden = slurp(data_path("chrome_trace_golden.json"));
@@ -165,11 +162,10 @@ TEST(ExportTrace, WritesOnlyTheCallingProcessAsPidZero) {
 
 // ---- drain_process_trace --------------------------------------------------
 
-TEST(DrainProcessTrace, CapturesSpansAndCounterSnapshot) {
+TEST(DrainProcessTrace, CapturesSpans) {
   omn::util::Trace::drain();  // discard earlier tests' events
   omn::util::Trace::set_enabled(true);
   { OMN_TRACE_SPAN("obs.test_span"); }
-  OMN_COUNTER_ADD("obs.test_counter", 11);
   ProcessTrace trace = omn::obs::drain_process_trace("test process");
   omn::util::Trace::set_enabled(false);
 
@@ -181,14 +177,6 @@ TEST(DrainProcessTrace, CapturesSpansAndCounterSnapshot) {
     }
   }
   EXPECT_TRUE(found_span);
-  bool found_counter = false;
-  for (const auto& [name, value] : trace.counters) {
-    if (name == "obs.test_counter") {
-      found_counter = true;
-      EXPECT_GE(value, 11u);
-    }
-  }
-  EXPECT_TRUE(found_counter);
 }
 
 }  // namespace

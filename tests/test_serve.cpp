@@ -29,7 +29,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +40,7 @@
 
 #include "omn/core/design_state.hpp"
 #include "omn/core/designer.hpp"
+#include "omn/core/lp_cache.hpp"
 #include "omn/net/serialize.hpp"
 #include "omn/serve/churn.hpp"
 #include "omn/serve/event.hpp"
@@ -53,6 +56,7 @@ using omn::core::DesignerConfig;
 using omn::core::DesignResult;
 using omn::core::DesignState;
 using omn::core::FailedEdge;
+using omn::core::LpCache;
 using omn::core::LpWork;
 using omn::core::OverlayDesigner;
 using omn::serve::Event;
@@ -115,6 +119,16 @@ Event parse_ok(const std::string& line) {
   const std::optional<Event> event = omn::serve::parse_event(line, &error);
   EXPECT_TRUE(event.has_value()) << line << ": " << error;
   return event.value_or(Event{});
+}
+
+/// The value of `key=<n>` on a stats line (-1, plus a failure, when the
+/// key is missing).
+long long stat_of(const std::string& stats, const std::string& key) {
+  const std::size_t at = stats.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing: " << stats;
+  return at == std::string::npos
+             ? -1
+             : std::stoll(stats.substr(at + key.size() + 2));
 }
 
 void expect_rejected(const std::string& line) {
@@ -572,15 +586,8 @@ TEST(ServeSession, SpeaksTheLineProtocol) {
   EXPECT_NE(stats.find(" replayed=0 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" journal_seq=1 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" uptime_us="), std::string::npos) << stats;
-  const auto count_of = [&stats](const std::string& key) {
-    const std::size_t at = stats.find(" " + key + "=");
-    EXPECT_NE(at, std::string::npos) << key << " missing: " << stats;
-    return at == std::string::npos
-               ? 0ll
-               : std::stoll(stats.substr(at + key.size() + 2));
-  };
-  EXPECT_GT(count_of("pivots"), 0);
-  EXPECT_GE(count_of("refactorizations"), 0);
+  EXPECT_GT(stat_of(stats, "pivots"), 0);
+  EXPECT_GE(stat_of(stats, "refactorizations"), 0);
   // A second stats call still does not advance the sequence.
   EXPECT_EQ(session.handle_line("stats").rfind("ok 1 stats ", 0), 0u);
 
@@ -624,6 +631,99 @@ TEST(ServeSession, StatsLpWorkEqualsDesignStateReplay) {
       EXPECT_GT(stats.lp.warm_start_hits + stats.lp.cache_hits, 0u);
     }
   }
+}
+
+// The cache_* fields of `stats` count this session's own LpCache, never
+// another session's traffic in the same process (the paper's design
+// algorithm is rerun many times per process).
+TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  DesignerConfig warm = base_config();
+  warm.lp_warm_start = true;
+  {
+    ServeSession a(inst, journal_options(warm, ""),
+                   omn::util::ExecutionContext::serial());
+    omn::serve::ChurnConfig churn;
+    churn.seed = 37;
+    for (const Event& event :
+         omn::serve::ChurnGenerator(inst, churn).take(4)) {
+      ASSERT_EQ(a.handle_line(event.to_line()).rfind("ok ", 0), 0u);
+    }
+    EXPECT_GT(stat_of(a.handle_line("stats"), "cache_misses"), 1);
+  }
+  // B has run only its initial design: one miss in its own memory cache.
+  ServeSession b(inst, journal_options(warm, ""),
+                 omn::util::ExecutionContext::serial());
+  const std::string stats = b.handle_line("stats");
+  EXPECT_EQ(stat_of(stats, "cache_misses"), 1) << stats;
+  EXPECT_EQ(stat_of(stats, "cache_hits"), 0) << stats;
+  EXPECT_EQ(stat_of(stats, "cache_disk_reads"), 0) << stats;
+  EXPECT_EQ(stat_of(stats, "cache_disk_writes"), 0) << stats;
+
+  // A cold session has no cache, so every cache field is 0.
+  ServeSession cold(inst, journal_options(base_config(), ""),
+                    omn::util::ExecutionContext::serial());
+  const std::string cold_stats = cold.handle_line("stats");
+  for (const char* key : {"cache_hits", "cache_misses", "cache_disk_reads",
+                          "cache_disk_writes"}) {
+    EXPECT_EQ(stat_of(cold_stats, key), 0) << key << ": " << cold_stats;
+  }
+}
+
+// Two sessions with separate LpCache objects over one directory: A's
+// initial design is a miss written to disk, B's is a disk hit.  Each
+// stats line reports only its own cache's counts.
+TEST(ServeSession, StatsReadTheSessionsOwnDiskCache) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  const std::string dir = temp_path("serve_stats_lp_cache");
+  std::filesystem::remove_all(dir);
+  const auto context_with_cache = [&dir] {
+    omn::util::ExecutionContext context = omn::util::ExecutionContext::serial();
+    context.set_service(std::make_shared<LpCache>(dir));
+    return context;
+  };
+  ServeSession a(inst, journal_options(base_config(), ""),
+                 context_with_cache());
+  ServeSession b(inst, journal_options(base_config(), ""),
+                 context_with_cache());
+
+  const std::string a_stats = a.handle_line("stats");
+  EXPECT_EQ(stat_of(a_stats, "cache_misses"), 1) << a_stats;
+  EXPECT_EQ(stat_of(a_stats, "cache_hits"), 0) << a_stats;
+  EXPECT_EQ(stat_of(a_stats, "cache_disk_reads"), 0) << a_stats;
+  EXPECT_EQ(stat_of(a_stats, "cache_disk_writes"), 1) << a_stats;
+
+  const std::string b_stats = b.handle_line("stats");
+  EXPECT_EQ(stat_of(b_stats, "cache_hits"), 1) << b_stats;
+  EXPECT_EQ(stat_of(b_stats, "cache_disk_reads"), 1) << b_stats;
+  EXPECT_EQ(stat_of(b_stats, "cache_misses"), 0) << b_stats;
+  EXPECT_EQ(stat_of(b_stats, "cache_disk_writes"), 0) << b_stats;
+  std::filesystem::remove_all(dir);
+}
+
+// A warm DesignState built on ExecutionContext::global() installs its
+// memory LpCache on its own copy of the context, so a later cold design
+// on the global context solves its own LP instead of being served from
+// that cache.
+TEST(DesignState, WarmCacheOnGlobalContextStaysInTheState) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  DesignerConfig warm;
+  warm.lp_warm_start = true;
+  DesignState state(inst, warm, omn::util::ExecutionContext::global());
+  ASSERT_TRUE(state.redesign().ok());
+  ASSERT_NE(state.context().find_service<LpCache>(), nullptr);
+
+  DesignerConfig cold;  // default: several attempts on the global context
+  ASSERT_GT(cold.rounding_attempts, 1);
+  ASSERT_NE(cold.threads, 1);
+  const DesignResult result = OverlayDesigner(cold).design(inst);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result.lp_cache_hit);
+  EXPECT_EQ(omn::util::ExecutionContext::global().find_service<LpCache>(),
+            nullptr);
 }
 
 std::string digest_of(const ServeSession& session) {

@@ -6,8 +6,6 @@
 //     increasing per-thread tick order.
 //   - drain(): hands out each event exactly once, assigns dense stable
 //     tids, and is safe to interleave with recording.
-//   - Counters: always live (independent of Trace::enabled()), shared
-//     per name across handles, snapshot sorted by name.
 //
 // These tests toggle the process-wide enable flag, so each one drains
 // first (discarding anything a previous test recorded) and restores the
@@ -26,7 +24,6 @@ namespace {
 
 using omn::util::ThreadTrace;
 using omn::util::Trace;
-using omn::util::TraceCounter;
 using omn::util::TraceEvent;
 using omn::util::TraceSpan;
 
@@ -167,36 +164,6 @@ TEST(Trace, ThreadsGetTheirOwnEventStreams) {
     EXPECT_TRUE(seen.insert(thread.tid).second)
         << "duplicate tid " << thread.tid;
   }
-}
-
-TEST(TraceCounters, LiveEvenWhenTracingIsDisabled) {
-  omn::util::counters_reset_for_tests();
-  ASSERT_FALSE(Trace::enabled());
-  OMN_COUNTER_ADD("test.disabled_counter", 3);
-  OMN_COUNTER_ADD("test.disabled_counter", 4);
-  EXPECT_EQ(omn::util::counter_value("test.disabled_counter"), 7u);
-}
-
-TEST(TraceCounters, HandlesWithTheSameNameShareOneCell) {
-  omn::util::counters_reset_for_tests();
-  TraceCounter a("test.shared");
-  TraceCounter b("test.shared");
-  a.add(10);
-  b.add(5);
-  EXPECT_EQ(a.value(), 15u);
-  EXPECT_EQ(b.value(), 15u);
-  EXPECT_EQ(omn::util::counter_value("test.shared"), 15u);
-}
-
-TEST(TraceCounters, SnapshotIsSortedByNameAndValueQueriesMissingAsZero) {
-  omn::util::counters_reset_for_tests();
-  OMN_COUNTER_ADD("test.zebra", 1);
-  OMN_COUNTER_ADD("test.alpha", 2);
-  const auto snapshot = omn::util::counters_snapshot();
-  for (std::size_t at = 1; at < snapshot.size(); ++at) {
-    EXPECT_LT(snapshot[at - 1].first, snapshot[at].first);
-  }
-  EXPECT_EQ(omn::util::counter_value("test.never_registered"), 0u);
 }
 
 }  // namespace

@@ -57,7 +57,9 @@
 // for every thread count.  `design --out` records the knobs and per-stage
 // timings as `meta` lines in the design file; `evaluate` reports them back.
 //
-// --lp-cache DIR installs a content-addressed core::LpCache over DIR:
+// --lp-cache DIR installs a content-addressed core::LpCache over DIR on
+// this command's own copy of the context (a later `run` line without the
+// flag never sees it):
 // the LP solve (the dominant design cost) is keyed on the instance's
 // canonical content plus the LP/solve options and persisted, so a second
 // run over the same topology performs zero simplex solves — two processes
