@@ -20,6 +20,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4F4C5043u;
 
+// Version 2: the Markowitz/hypersparse BasisLu and the row-wise pivot row
+// (version 1 was the left-looking dense-scan kernel).
+constexpr std::uint32_t kSolverKernelVersion = 2;
+
 // The entry format must be byte-identical across platforms (the directory
 // tier is shared between processes and potentially machines), so every
 // field goes through util::ByteWriter/ByteReader, never raw struct writes.
@@ -47,6 +51,10 @@ void hash_solve_options(util::Hasher& h, const lp::SolveOptions& o) {
   // edge) for the same reason.
   h.u32(1);
   h.i32(o.refactor_interval);
+  // The solver kernel's numerics: a kernel that rounds differently may
+  // return a different (equally optimal) point, so an entry written by an
+  // older kernel must miss.  Bump on any such change.
+  h.u32(kSolverKernelVersion);
   // warm_start_basis is deliberately excluded: the starting basis changes
   // where the solve starts, not which problem it solves, and the byte
   // cache must serve one key to warm and cold callers alike.

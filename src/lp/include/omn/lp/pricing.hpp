@@ -24,10 +24,11 @@ class Pricer {
   double score(int j, double dj) const;
 
   /// Devex weight update after a basis change: entering column q with
-  /// pivot element `alpha_q` = alpha_row[q], leaving column `leaving`;
-  /// `alpha_row` is the pivot row in candidate-column space (only entries
-  /// for columns < reset()'s num_columns are read).
+  /// pivot element `alpha_q`, leaving column `leaving`.  `columns` lists
+  /// the nonbasic candidate columns j != q (all < reset()'s num_columns)
+  /// whose pivot-row entry alpha_row[j] is nonzero; no other is read.
   void on_pivot(int q, int leaving, double alpha_q,
+                const std::vector<int>& columns,
                 const std::vector<double>& alpha_row);
 
  private:

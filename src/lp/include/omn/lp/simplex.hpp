@@ -5,10 +5,11 @@
 // solve the LP to optimality and find a fractional solution").
 //
 // SimplexSolver is the one production core: a revised simplex that keeps
-// the column-compressed A, maintains the basis as a sparse LU
-// factorization with product-form (eta-file) updates and periodic
-// refactorization, and solves B·y = a_q / Bᵀ·z = c_B by substitution.
-// Per-pivot work is proportional to basis fill, not to the full tableau,
+// A column- and row-compressed, maintains the basis as a sparse LU
+// factorization (lp::BasisLu) with product-form (eta-file) updates and
+// periodic refactorization, and solves B·w = a_q / Bᵀ·ρ = e_r by
+// substitution that follows the right-hand side's nonzeros.  Per-pivot
+// work is proportional to the nonzeros touched, not to the full tableau,
 // which is what the overlay LPs' extreme sparsity rewards.  It prices
 // Devex-style steepest edge with reference-framework weight updates
 // (lp::Pricer).

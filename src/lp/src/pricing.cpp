@@ -24,6 +24,7 @@ double Pricer::score(int j, double dj) const {
 }
 
 void Pricer::on_pivot(int q, int leaving, double alpha_q,
+                      const std::vector<int>& columns,
                       const std::vector<double>& alpha_row) {
   if (max_weight_ > kWeightResetBound) {
     std::fill(weights_.begin(), weights_.end(), 1.0);
@@ -32,10 +33,8 @@ void Pricer::on_pivot(int q, int leaving, double alpha_q,
   const double gamma_q = weights_[static_cast<std::size_t>(q)];
   const double inv_sq = 1.0 / (alpha_q * alpha_q);
   const int count = static_cast<int>(weights_.size());
-  for (int j = 0; j < count; ++j) {
-    if (j == q) continue;
+  for (int j : columns) {
     const double a = alpha_row[static_cast<std::size_t>(j)];
-    if (a == 0.0) continue;
     const double candidate = a * a * inv_sq * gamma_q;
     double& g = weights_[static_cast<std::size_t>(j)];
     if (candidate > g) {

@@ -39,6 +39,11 @@ struct StandardForm {
   std::vector<int> col_ptr;
   std::vector<int> col_row;
   std::vector<double> col_val;
+  // The same matrix row-compressed (columns ascending within a row), for
+  // pivot rows that scatter over the rows of a sparse btran result.
+  std::vector<int> row_ptr;
+  std::vector<int> row_col;
+  std::vector<double> row_val;
   std::vector<double> row_rhs;    // sign-normalized rhs
   std::vector<double> residual;   // residual at the all-at-lower point
   std::vector<double> lower;      // n + m bounds (structural + slack)
@@ -96,6 +101,21 @@ struct StandardForm {
         sf.col_row[uz(at)] = r;
         sf.col_val[uz(at)] = v;
         ++at;
+      }
+    }
+    sf.row_ptr.assign(uz(m) + 1, 0);
+    for (int r : sf.col_row) ++sf.row_ptr[uz(r) + 1];
+    for (int r = 0; r < m; ++r) sf.row_ptr[uz(r) + 1] += sf.row_ptr[uz(r)];
+    sf.row_col.resize(sf.col_row.size());
+    sf.row_val.resize(sf.col_val.size());
+    {
+      std::vector<int> next(sf.row_ptr.begin(), sf.row_ptr.end() - 1);
+      for (int j = 0; j < n; ++j) {
+        for (int k = sf.col_ptr[uz(j)]; k < sf.col_ptr[uz(j) + 1]; ++k) {
+          const int at = next[uz(sf.col_row[uz(k)])]++;
+          sf.row_col[uz(at)] = j;
+          sf.row_val[uz(at)] = sf.col_val[uz(k)];
+        }
       }
     }
 
@@ -533,7 +553,10 @@ class DenseTableau {
 /// rows from btran, and reduced costs are maintained incrementally with a
 /// full recompute at every refactorization.  Numeric drift — a maintained
 /// reduced cost disagreeing with its freshly computed value — triggers an
-/// early refactorization instead of a bad pivot.
+/// early refactorization instead of a bad pivot.  Per pivot, the entering
+/// column and the pivot row's btran stay sparse (SparseVector), and the
+/// pivot row is formed from the row-wise copy of A over the nonzeros of ρ,
+/// so only the columns it reaches get reduced-cost and weight updates.
 class RevisedSolver {
  public:
   RevisedSolver(const Model& model, const SolveOptions& opts)
@@ -620,10 +643,12 @@ class RevisedSolver {
     lower_.resize(uz(total_), 0.0);
     upper_.resize(uz(total_), kInfinity);
     state_.resize(uz(total_), VarStatus::kAtLower);
+    art_of_row_.assign(uz(m_), -1);
     for (int a = 0; a < num_artificials_; ++a) {
       const int r = art_rows_[uz(a)];
       basis_[uz(r)] = n_ + m_ + a;
       beta_[uz(r)] = std::abs(residual[uz(r)]);
+      art_of_row_[uz(r)] = a;
     }
     for (int r = 0; r < m_; ++r) state_[uz(basis_[uz(r)])] = VarStatus::kBasic;
     pos_.assign(uz(total_), -1);
@@ -663,6 +688,7 @@ class RevisedSolver {
     total_ = n_ + m_;
     art_rows_.clear();
     art_sign_.clear();
+    art_of_row_.assign(uz(m_), -1);
     lower_ = sf_.lower;
     upper_ = sf_.upper;
     state_ = b.state;
@@ -692,23 +718,41 @@ class RevisedSolver {
   void init_scratch() {
     cost_.assign(uz(total_), 0.0);
     d_.assign(uz(total_), 0.0);
-    w_.assign(uz(m_), 0.0);
-    rho_.assign(uz(m_), 0.0);
+    w_.reset(m_);
+    rho_.reset(m_);
+    dense_.assign(uz(m_), 0.0);
     alpha_.assign(uz(total_), 0.0);
+    touched_.assign(uz(total_), 0);
+    reached_.clear();
+    pivot_cols_.clear();
   }
 
   // ---- columns of the standard form --------------------------------------
 
-  /// Adds raw column j (row space) into `out`, which must be zeroed.
-  void scatter_column(int j, std::vector<double>& out) const {
+  /// Loads raw column j (row space) into `out`, which must be clear.
+  void load_column(int j, SparseVector& out) const {
     if (j < n_) {
       for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
-        out[uz(sf_.col_row[uz(k)])] += sf_.col_val[uz(k)];
+        out.set(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
       }
     } else if (j < n_ + m_) {
-      out[uz(j - n_)] += 1.0;
+      out.set(j - n_, 1.0);
     } else {
-      out[uz(art_rows_[uz(j - n_ - m_)])] += art_sign_[uz(j - n_ - m_)];
+      out.set(art_rows_[uz(j - n_ - m_)], art_sign_[uz(j - n_ - m_)]);
+    }
+  }
+
+  /// Puts v's index list in ascending order, so loops over it visit
+  /// positions in the same order as a full 0..m-1 scan would.
+  void sort_index(SparseVector& v) const {
+    if (std::is_sorted(v.index.begin(), v.index.end())) return;
+    if (v.index.size() * 8 > uz(m_)) {
+      v.index.clear();
+      for (int i = 0; i < m_; ++i) {
+        if (v.value[uz(i)] != 0.0) v.index.push_back(i);
+      }
+    } else {
+      std::sort(v.index.begin(), v.index.end());
     }
   }
 
@@ -727,29 +771,28 @@ class RevisedSolver {
   // ---- factorization / recomputation -------------------------------------
 
   bool factorize_current_basis() {
-    std::vector<std::vector<std::pair<int, double>>> columns(uz(m_));
+    basis_matrix_.clear();
     for (int r = 0; r < m_; ++r) {
       const int j = basis_[uz(r)];
-      auto& col = columns[uz(r)];
       if (j < n_) {
-        col.reserve(uz(sf_.col_ptr[uz(j) + 1] - sf_.col_ptr[uz(j)]));
         for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
-          col.emplace_back(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
+          basis_matrix_.add(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
         }
       } else if (j < n_ + m_) {
-        col.emplace_back(j - n_, 1.0);
+        basis_matrix_.add(j - n_, 1.0);
       } else {
-        col.emplace_back(art_rows_[uz(j - n_ - m_)],
-                         art_sign_[uz(j - n_ - m_)]);
+        basis_matrix_.add(art_rows_[uz(j - n_ - m_)],
+                          art_sign_[uz(j - n_ - m_)]);
       }
+      basis_matrix_.end_column();
     }
-    return lu_.factorize(m_, columns);
+    return lu_.factorize(m_, basis_matrix_);
   }
 
   void compute_beta() {
     // beta = B^{-1} (b - A_N x_N): subtract every nonbasic column at its
     // bound value, then ftran.
-    std::vector<double>& rhs = w_;
+    std::vector<double>& rhs = dense_;
     for (int r = 0; r < m_; ++r) rhs[uz(r)] = sf_.row_rhs[uz(r)];
     for (int j = 0; j < total_; ++j) {
       if (state_[uz(j)] == VarStatus::kBasic) continue;
@@ -768,20 +811,21 @@ class RevisedSolver {
     }
     lu_.ftran(rhs);
     beta_ = rhs;
-    std::fill(w_.begin(), w_.end(), 0.0);
+    std::fill(dense_.begin(), dense_.end(), 0.0);
   }
 
   void recompute_reduced_costs(bool phase1) {
     // y = B^{-T} c_B via btran, then d_j = c_j - y . a_j per column.
-    for (int r = 0; r < m_; ++r) rho_[uz(r)] = cost_[uz(basis_[uz(r)])];
-    lu_.btran(rho_);
+    std::vector<double>& y = dense_;
+    for (int r = 0; r < m_; ++r) y[uz(r)] = cost_[uz(basis_[uz(r)])];
+    lu_.btran(y);
     const int limit = phase1 ? total_ : n_ + m_;
     for (int j = 0; j < limit; ++j) {
       d_[uz(j)] = state_[uz(j)] == VarStatus::kBasic
                       ? 0.0
-                      : cost_[uz(j)] - column_dot(j, rho_);
+                      : cost_[uz(j)] - column_dot(j, y);
     }
-    std::fill(rho_.begin(), rho_.end(), 0.0);
+    std::fill(dense_.begin(), dense_.end(), 0.0);
   }
 
   /// Rebuilds the LU from the current basis and refreshes beta and reduced
@@ -832,18 +876,21 @@ class RevisedSolver {
         if (q < 0) return SolveStatus::kOptimal;
       }
 
-      // Entering direction w = B^{-1} a_q (slot space).
-      std::fill(w_.begin(), w_.end(), 0.0);
-      scatter_column(q, w_);
+      // Entering direction w = B^{-1} a_q (slot space).  Its index is
+      // put in ascending slot order, so the loops below keep the order
+      // (and the ratio test its tie-breaks) of a full scan.
+      w_.clear();
+      load_column(q, w_);
       lu_.ftran(w_);
+      sort_index(w_);
 
       // Drift check: the maintained d_q against one computed from w.  A
       // disagreement means the eta file has degraded — refactorize early
       // and re-price rather than pivot on a stale direction.
       double fresh = cost_[uz(q)];
-      for (int r = 0; r < m_; ++r) {
+      for (int r : w_.index) {
         const double cb = cost_[uz(basis_[uz(r)])];
-        if (cb != 0.0) fresh -= cb * w_[uz(r)];
+        if (cb != 0.0) fresh -= cb * w_.value[uz(r)];
       }
       if (std::abs(fresh - d_[uz(q)]) >
           1e-7 * (1.0 + std::abs(d_[uz(q)]))) {
@@ -867,8 +914,8 @@ class RevisedSolver {
       int pivot_row = -1;
       bool leave_at_lower = true;
       double pivot_abs = 0.0;
-      for (int r = 0; r < m_; ++r) {
-        const double a = w_[uz(r)];
+      for (int r : w_.index) {
+        const double a = w_.value[uz(r)];
         if (std::abs(a) <= kPivotTol) continue;
         const int b = basis_[uz(r)];
         const double delta = sigma * a;
@@ -906,8 +953,8 @@ class RevisedSolver {
       if (pivot_row < 0) {
         // Bound flip: no basis change, no eta, reduced costs unchanged.
         const double range = best_t;
-        for (int r = 0; r < m_; ++r) {
-          beta_[uz(r)] -= sigma * range * w_[uz(r)];
+        for (int r : w_.index) {
+          beta_[uz(r)] -= sigma * range * w_.value[uz(r)];
         }
         state_[uz(q)] = state_[uz(q)] == VarStatus::kAtLower
                             ? VarStatus::kAtUpper
@@ -938,10 +985,10 @@ class RevisedSolver {
     for (int j = 0; j < limit; ++j) {
       const VarStatus s = state_[uz(j)];
       if (s == VarStatus::kBasic) continue;
-      if (upper_[uz(j)] - lower_[uz(j)] <= 0.0) continue;  // fixed
       const double dj = d_[uz(j)];
       const double improve = s == VarStatus::kAtLower ? -dj : dj;
       if (improve <= kOptimalityTol) continue;
+      if (upper_[uz(j)] - lower_[uz(j)] <= 0.0) continue;  // fixed
       if (bland) return j;  // first eligible index
       const double score = pricer_.score(j, improve);
       if (score > best_score) {
@@ -958,38 +1005,39 @@ class RevisedSolver {
     const double entering_value =
         (sigma > 0.0 ? lower_[uz(q)] : upper_[uz(q)]) + sigma * t;
 
-    for (int i = 0; i < m_; ++i) {
+    for (int i : w_.index) {
       if (i == r) continue;
-      beta_[uz(i)] -= sigma * t * w_[uz(i)];
+      beta_[uz(i)] -= sigma * t * w_.value[uz(i)];
     }
     beta_[uz(r)] = entering_value;
 
     // Pivot row rho^T A via btran(e_r); used for the incremental reduced
     // cost update d' = d - (d_q / alpha_rq) * alpha_row and Devex weights.
-    std::fill(rho_.begin(), rho_.end(), 0.0);
-    rho_[uz(r)] = 1.0;
+    rho_.clear();
+    rho_.set(r, 1.0);
     lu_.btran(rho_);
 
     const int limit = phase1 ? total_ : n_ + m_;
-    const double alpha_q = w_[uz(r)];
+    const double alpha_q = w_.value[uz(r)];
     const double ratio = d_[uz(q)] / alpha_q;
-    for (int j = 0; j < limit; ++j) {
-      if (j == q || state_[uz(j)] == VarStatus::kBasic) {
-        alpha_[uz(j)] = 0.0;
-        continue;
-      }
-      const double a = column_dot(j, rho_);
-      alpha_[uz(j)] = a;
-      if (a != 0.0) d_[uz(j)] -= ratio * a;
+    form_pivot_row(limit);
+    pivot_cols_.clear();
+    for (int j : reached_) {
+      const double a = alpha_[uz(j)];
+      if (j == q || state_[uz(j)] == VarStatus::kBasic || a == 0.0) continue;
+      pivot_cols_.push_back(j);
+      d_[uz(j)] -= ratio * a;
     }
-    std::fill(rho_.begin(), rho_.end(), 0.0);
+    rho_.clear();
     // The leaving column's tableau entry is exactly 1 (it IS basis column
     // r), so its new reduced cost is -ratio without a dot product.
     d_[uz(leaving)] = -ratio;
     d_[uz(q)] = 0.0;
-    alpha_[uz(q)] = alpha_q;
-    if (leaving < limit) alpha_[uz(leaving)] = 1.0;
-    pricer_.on_pivot(q, leaving, alpha_q, alpha_);
+    pricer_.on_pivot(q, leaving, alpha_q, pivot_cols_, alpha_);
+    for (int j : reached_) {
+      alpha_[uz(j)] = 0.0;
+      touched_[uz(j)] = 0;
+    }
 
     basis_[uz(r)] = q;
     pos_[uz(leaving)] = -1;
@@ -1005,6 +1053,32 @@ class RevisedSolver {
       if (!refactorize(phase1)) return false;
     }
     return true;
+  }
+
+  /// alpha_j = rho^T a_j for every column j < limit that a nonzero of rho
+  /// reaches, listed in reached_ (basic ones included): structurals via
+  /// the row-wise copy of A, plus the slack and any artificial of each row.
+  void form_pivot_row(int limit) {
+    reached_.clear();
+    auto add = [&](int j, double v) {
+      if (!touched_[uz(j)]) {
+        touched_[uz(j)] = 1;
+        reached_.push_back(j);
+      }
+      alpha_[uz(j)] += v;
+    };
+    for (int i : rho_.index) {
+      const double y = rho_.value[uz(i)];
+      if (y == 0.0) continue;
+      for (int k = sf_.row_ptr[uz(i)]; k < sf_.row_ptr[uz(i) + 1]; ++k) {
+        add(sf_.row_col[uz(k)], sf_.row_val[uz(k)] * y);
+      }
+      add(n_ + i, y);
+      const int a = art_of_row_[uz(i)];
+      if (a >= 0 && n_ + m_ + a < limit) {
+        add(n_ + m_ + a, art_sign_[uz(a)] * y);
+      }
+    }
   }
 
   SolveStatus fail() {
@@ -1056,6 +1130,7 @@ class RevisedSolver {
 
   std::vector<int> art_rows_;
   std::vector<double> art_sign_;
+  std::vector<int> art_of_row_;  // row -> artificial index, -1 if none
 
   std::vector<double> lower_, upper_;
   std::vector<VarStatus> state_;
@@ -1069,9 +1144,14 @@ class RevisedSolver {
   Pricer pricer_;
 
   // Scratch (sized by init_scratch, reused across iterations).
-  std::vector<double> w_;      // entering direction, slot space
-  std::vector<double> rho_;    // btran workspace, row space
-  std::vector<double> alpha_;  // pivot row in column space
+  BasisMatrix basis_matrix_;     // basis columns handed to factorize
+  SparseVector w_;               // entering direction, slot space
+  SparseVector rho_;             // pivot row's btran, row space
+  std::vector<double> dense_;    // dense ftran/btran workspace, zero
+  std::vector<double> alpha_;    // pivot row in column space, zero
+  std::vector<std::uint8_t> touched_;  // column already in reached_
+  std::vector<int> reached_;     // columns form_pivot_row wrote
+  std::vector<int> pivot_cols_;  // nonbasic columns with alpha_j != 0
 
   int iterations_ = 0;
   int refactorizations_ = 0;

@@ -106,7 +106,12 @@ net::OverlayInstance make_akamai_like(const AkamaiLikeConfig& cfg) {
   };
 
   // Source -> reflector edges: dense (|S| is small in practice; the
-  // entrypoint must be able to reach any reflector).
+  // entrypoint must be able to reach any reflector).  Their losses are kept
+  // in sr_loss[k * R + i] so the sink loop below never asks the instance,
+  // whose lookup index every added edge invalidates.
+  const std::size_t num_refl = static_cast<std::size_t>(cfg.num_reflectors);
+  std::vector<double> sr_loss(static_cast<std::size_t>(cfg.num_sources) *
+                              num_refl);
   for (int k = 0; k < cfg.num_sources; ++k) {
     for (int i = 0; i < cfg.num_reflectors; ++i) {
       net::SourceReflectorEdge e;
@@ -120,6 +125,8 @@ net::OverlayInstance make_akamai_like(const AkamaiLikeConfig& cfg) {
                           refl_isp[static_cast<std::size_t>(i)]);
       e.delay_ms = link_delay(src_pos[static_cast<std::size_t>(k)],
                               refl_pos[static_cast<std::size_t>(i)]);
+      sr_loss[static_cast<std::size_t>(k) * num_refl +
+              static_cast<std::size_t>(i)] = e.loss;
       inst.add_source_reflector_edge(e);
     }
   }
@@ -165,9 +172,10 @@ net::OverlayInstance make_akamai_like(const AkamaiLikeConfig& cfg) {
       e.delay_ms = link_delay(refl_pos[static_cast<std::size_t>(i)], pos);
       inst.add_reflector_sink_edge(e);
       ++added;
-      const int sr = inst.find_sr_edge(k, i);
-      weight_sum += net::OverlayInstance::path_weight(inst.sr_edge(sr).loss,
-                                                      e.loss);
+      weight_sum += net::OverlayInstance::path_weight(
+          sr_loss[static_cast<std::size_t>(k) * num_refl +
+                  static_cast<std::size_t>(i)],
+          e.loss);
     }
     // Last-resort repair: if even all reflectors cannot meet the demand
     // with margin, relax the sink's threshold to what the network supports.
@@ -180,6 +188,9 @@ net::OverlayInstance make_akamai_like(const AkamaiLikeConfig& cfg) {
   }
 
   inst.validate();
+  // Hand back the lookup indexes built, so threads that share the result
+  // only read them (their lazy build is not thread-safe).
+  inst.freeze();
   return inst;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "omn/util/rng.hpp"
 
@@ -28,6 +29,11 @@ net::OverlayInstance make_uniform_random(const UniformConfig& cfg) {
         static_cast<std::uint64_t>(std::max(1, cfg.num_colors))));
     inst.add_reflector(std::move(r));
   }
+  // sr_loss[k * R + i]: the sink loop reads source->reflector losses here,
+  // not through the instance, whose lookup index every added edge clears.
+  const std::size_t num_refl = static_cast<std::size_t>(cfg.num_reflectors);
+  std::vector<double> sr_loss(static_cast<std::size_t>(cfg.num_sources) *
+                              num_refl);
   for (int k = 0; k < cfg.num_sources; ++k) {
     for (int i = 0; i < cfg.num_reflectors; ++i) {
       net::SourceReflectorEdge e;
@@ -35,6 +41,8 @@ net::OverlayInstance make_uniform_random(const UniformConfig& cfg) {
       e.reflector = i;
       e.loss = rng.uniform(cfg.loss_min, cfg.loss_max);
       e.cost = rng.uniform(cfg.cost_min, cfg.cost_max);
+      sr_loss[static_cast<std::size_t>(k) * num_refl +
+              static_cast<std::size_t>(i)] = e.loss;
       inst.add_source_reflector_edge(e);
     }
   }
@@ -66,9 +74,10 @@ net::OverlayInstance make_uniform_random(const UniformConfig& cfg) {
       e.loss = rng.uniform(cfg.loss_min, cfg.loss_max);
       e.cost = rng.uniform(cfg.cost_min, cfg.cost_max);
       inst.add_reflector_sink_edge(e);
-      const int sr = inst.find_sr_edge(k, i);
-      weight_sum += net::OverlayInstance::path_weight(inst.sr_edge(sr).loss,
-                                                      e.loss);
+      weight_sum += net::OverlayInstance::path_weight(
+          sr_loss[static_cast<std::size_t>(k) * num_refl +
+                  static_cast<std::size_t>(i)],
+          e.loss);
     }
     if (weight_sum < demand) {
       // All reflectors connected yet demand unmet: relax threshold.
@@ -78,6 +87,9 @@ net::OverlayInstance make_uniform_random(const UniformConfig& cfg) {
     }
   }
   inst.validate();
+  // Hand back the lookup indexes built, so threads that share the result
+  // only read them (their lazy build is not thread-safe).
+  inst.freeze();
   return inst;
 }
 

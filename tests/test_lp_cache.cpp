@@ -173,7 +173,7 @@ TEST(InstanceDigest, KeyIsPinned) {
   // hashed fields, their order, or a retired option's placeholder) must
   // show up here as a deliberate decision.
   EXPECT_EQ(LpCache::key(small_instance(), {}, {}).hex(),
-            "0769fb0425fb2ca40a398d34107e907c");
+            "3614355c2fa3f6d910bf4e31061074da");
 }
 
 // ---- memory tier ----------------------------------------------------------

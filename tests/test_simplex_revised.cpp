@@ -16,6 +16,8 @@
 //    optimal basis must converge in measurably fewer iterations and
 //    reach the same optimum.
 //  - Basis export/import round trip and refactorization behaviour.
+//  - Every optimal differential case with an exported basis also passes
+//    the independent optimality certificate (lp_certificate.hpp).
 #include "omn/lp/simplex.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "lp_certificate.hpp"
 #include "omn/core/lp_builder.hpp"
 #include "omn/lp/model.hpp"
 #include "omn/topo/synthetic.hpp"
@@ -115,6 +118,7 @@ TEST(RevisedSimplexDifferential, AgreesWithDenseTableauOn200RandomLps) {
   int optimal = 0;
   int infeasible = 0;
   int unbounded = 0;
+  int certified = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Model model = make_random_lp(seed);
 
@@ -131,6 +135,17 @@ TEST(RevisedSimplexDifferential, AgreesWithDenseTableauOn200RandomLps) {
           << "seed=" << seed;
       EXPECT_LE(revised.max_violation, 1e-6) << "seed=" << seed;
       EXPECT_LE(dense.max_violation, 1e-6) << "seed=" << seed;
+      // An optimal basis that could be exported must prove its optimality
+      // independently of both cores.
+      if (revised.basis.has_value()) {
+        const omn::lp::testing::Certificate cert =
+            omn::lp::testing::check_optimality(model, revised);
+        EXPECT_TRUE(cert.ok) << "seed=" << seed << ": " << cert.failure
+                             << " (primal " << cert.primal_violation
+                             << ", dual " << cert.dual_violation << ", gap "
+                             << cert.gap << ")";
+        ++certified;
+      }
     }
     optimal += dense.status == SolveStatus::kOptimal;
     infeasible += dense.status == SolveStatus::kInfeasible;
@@ -141,6 +156,7 @@ TEST(RevisedSimplexDifferential, AgreesWithDenseTableauOn200RandomLps) {
   EXPECT_GE(optimal, 60);
   EXPECT_GE(infeasible, 15);
   EXPECT_GE(unbounded, 10);
+  EXPECT_EQ(certified, optimal);
 }
 
 // ---- dense phase-II pivot pinning (frozen artificial columns) -------------

@@ -5,12 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "omn/net/serialize.hpp"
+#include "omn/util/hash.hpp"
 
 namespace {
 
 using omn::net::OverlayInstance;
+
+std::string text_digest(const OverlayInstance& inst) {
+  omn::util::Hasher h;
+  h.str(omn::net::to_text(inst));
+  return h.digest().hex();
+}
 
 TEST(AkamaiLike, ProducesRequestedSizes) {
   auto cfg = omn::topo::global_event_config(40, 1);
@@ -109,6 +117,24 @@ TEST(UniformRandom, DensityControlsEdgeCount) {
   const auto a = omn::topo::make_uniform_random(sparse);
   const auto b = omn::topo::make_uniform_random(dense);
   EXPECT_LT(a.rd_edges().size(), b.rd_edges().size());
+}
+
+TEST(Generators, OutputIsPinned) {
+  // Known answers for the serialized output of both generators.  A change
+  // to how an instance is built (rather than to what it contains) must
+  // leave these digests alone; anything else is a deliberate decision.
+  EXPECT_EQ(text_digest(omn::topo::make_akamai_like(
+                omn::topo::global_event_config(128, 2003))),
+            "a31483ff53d64e2f24824b1081a9d122");
+  EXPECT_EQ(text_digest(omn::topo::make_akamai_like(
+                omn::topo::eu_heavy_event_config(128, 2004))),
+            "942a2092792687e65b8322d9a0cae88e");
+  omn::topo::UniformConfig cfg;
+  cfg.num_sinks = 80;
+  cfg.num_reflectors = 24;
+  cfg.seed = 19;
+  EXPECT_EQ(text_digest(omn::topo::make_uniform_random(cfg)),
+            "3a729f136dfa523a98535b93a3ed8c99");
 }
 
 TEST(SetCover, EncodesCoverExactly) {
