@@ -13,9 +13,6 @@ namespace omn::core {
 DesignSweep& DesignSweep::add_instance(std::string label,
                                        net::OverlayInstance instance) {
   instances_.emplace_back(std::move(label), std::move(instance));
-  // Cells read each instance from several threads at once: build its lazy
-  // adjacency indexes now, so no const accessor writes them concurrently.
-  instances_.back().second.freeze();
   return *this;
 }
 

@@ -195,7 +195,6 @@ DesignResult OverlayDesigner::design_from_lp(
   // winner is picked by scanning them in index order, so for a fixed seed
   // the result is bit-identical at every thread count.
   OMN_TRACE_SPAN("designer.rounding");
-  inst.freeze();  // attempts read its lazy indexes concurrently
   const std::size_t cap =
       config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 0;
   std::vector<AttemptOutcome> outcomes(static_cast<std::size_t>(attempts));

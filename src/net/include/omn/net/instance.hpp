@@ -85,14 +85,35 @@ struct ReflectorSinkEdge {
   double delay_ms = 0.0;
 };
 
+/// The fields of an added SR edge a caller may still change: everything
+/// but the endpoints, which the adjacency indexes are keyed on.
+struct SourceReflectorEdgeFields {
+  double& cost;
+  double& loss;
+  double& delay_ms;
+};
+
+/// The fields of an added RD edge a caller may still change (all but the
+/// endpoints).
+struct ReflectorSinkEdgeFields {
+  double& cost;
+  double& loss;
+  std::optional<double>& capacity;
+  double& delay_ms;
+};
+
+/// Each add_* updates the adjacency indexes, so no const member writes
+/// anything and a const instance is safe to read from several threads.
 class OverlayInstance {
  public:
   int add_source(Source source);
   int add_reflector(Reflector reflector);
   int add_sink(Sink sink);
   /// Returns the edge id.  At most one edge per (source, reflector) pair.
+  /// Throws std::invalid_argument when an endpoint does not exist.
   int add_source_reflector_edge(SourceReflectorEdge edge);
   /// Returns the edge id.  At most one edge per (reflector, sink) pair.
+  /// Throws std::invalid_argument when an endpoint does not exist.
   int add_reflector_sink_edge(ReflectorSinkEdge edge);
 
   int num_sources() const { return static_cast<int>(sources_.size()); }
@@ -109,12 +130,18 @@ class OverlayInstance {
 
   const std::vector<SourceReflectorEdge>& sr_edges() const { return sr_edges_; }
   const std::vector<ReflectorSinkEdge>& rd_edges() const { return rd_edges_; }
-  SourceReflectorEdge& sr_edge(int id) { return sr_edges_.at(static_cast<std::size_t>(id)); }
-  ReflectorSinkEdge& rd_edge(int id) { return rd_edges_.at(static_cast<std::size_t>(id)); }
+  SourceReflectorEdgeFields sr_edge(int id) {
+    SourceReflectorEdge& e = sr_edges_.at(static_cast<std::size_t>(id));
+    return {e.cost, e.loss, e.delay_ms};
+  }
+  ReflectorSinkEdgeFields rd_edge(int id) {
+    ReflectorSinkEdge& e = rd_edges_.at(static_cast<std::size_t>(id));
+    return {e.cost, e.loss, e.capacity, e.delay_ms};
+  }
   const SourceReflectorEdge& sr_edge(int id) const { return sr_edges_.at(static_cast<std::size_t>(id)); }
   const ReflectorSinkEdge& rd_edge(int id) const { return rd_edges_.at(static_cast<std::size_t>(id)); }
 
-  /// Id of the k -> i edge, or -1 when absent.  O(1) after freeze().
+  /// Id of the k -> i edge, or -1 when absent.  O(1).
   int find_sr_edge(int source, int reflector) const;
   /// Id of the i -> j edge, or -1 when absent.  O(out-degree of i).
   int find_rd_edge(int reflector, int sink) const;
@@ -126,13 +153,9 @@ class OverlayInstance {
   /// Edge ids from source k into reflectors.
   const std::vector<int>& source_out(int source) const;
 
-  /// Builds the adjacency indexes above.  Called automatically by accessors
-  /// when dirty; cheap to call repeatedly.
-  void freeze() const;
-
   /// Throws std::invalid_argument when the instance is malformed
-  /// (probabilities outside [0,1], thresholds outside (0,1), dangling
-  /// indices, duplicate edges, non-positive fanout...).
+  /// (probabilities outside [0,1], thresholds outside (0,1), unknown
+  /// commodities, duplicate edges, non-positive fanout...).
   void validate() const;
 
   // ---- weight transforms (paper Section 2) -------------------------------
@@ -173,12 +196,11 @@ class OverlayInstance {
   std::vector<SourceReflectorEdge> sr_edges_;
   std::vector<ReflectorSinkEdge> rd_edges_;
 
-  // Lazily built adjacency (mutable: freeze() is conceptually const).
-  mutable bool frozen_ = false;
-  mutable std::vector<std::vector<int>> reflector_out_;
-  mutable std::vector<std::vector<int>> sink_in_;
-  mutable std::vector<std::vector<int>> source_out_;
-  mutable std::vector<std::vector<int>> sr_lookup_;  // [source][reflector] -> id
+  // Adjacency indexes, kept current by add_*.
+  std::vector<std::vector<int>> reflector_out_;
+  std::vector<std::vector<int>> sink_in_;
+  std::vector<std::vector<int>> source_out_;
+  std::vector<std::vector<int>> sr_lookup_;  // [source][reflector] -> id
 };
 
 }  // namespace omn::net

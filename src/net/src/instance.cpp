@@ -8,33 +8,48 @@
 namespace omn::net {
 
 int OverlayInstance::add_source(Source source) {
-  frozen_ = false;
   sources_.push_back(std::move(source));
+  source_out_.emplace_back();
+  sr_lookup_.emplace_back(reflectors_.size(), -1);
   return static_cast<int>(sources_.size()) - 1;
 }
 
 int OverlayInstance::add_reflector(Reflector reflector) {
-  frozen_ = false;
   reflectors_.push_back(std::move(reflector));
+  reflector_out_.emplace_back();
+  for (std::vector<int>& row : sr_lookup_) row.push_back(-1);
   return static_cast<int>(reflectors_.size()) - 1;
 }
 
 int OverlayInstance::add_sink(Sink sink) {
-  frozen_ = false;
   sinks_.push_back(std::move(sink));
+  sink_in_.emplace_back();
   return static_cast<int>(sinks_.size()) - 1;
 }
 
 int OverlayInstance::add_source_reflector_edge(SourceReflectorEdge edge) {
-  frozen_ = false;
+  if (edge.source < 0 || edge.source >= num_sources() ||
+      edge.reflector < 0 || edge.reflector >= num_reflectors()) {
+    throw std::invalid_argument("OverlayInstance: dangling SR edge");
+  }
+  const int id = static_cast<int>(sr_edges_.size());
   sr_edges_.push_back(edge);
-  return static_cast<int>(sr_edges_.size()) - 1;
+  source_out_[static_cast<std::size_t>(edge.source)].push_back(id);
+  sr_lookup_[static_cast<std::size_t>(edge.source)]
+            [static_cast<std::size_t>(edge.reflector)] = id;
+  return id;
 }
 
 int OverlayInstance::add_reflector_sink_edge(ReflectorSinkEdge edge) {
-  frozen_ = false;
+  if (edge.reflector < 0 || edge.reflector >= num_reflectors() ||
+      edge.sink < 0 || edge.sink >= num_sinks()) {
+    throw std::invalid_argument("OverlayInstance: dangling RD edge");
+  }
+  const int id = static_cast<int>(rd_edges_.size());
   rd_edges_.push_back(edge);
-  return static_cast<int>(rd_edges_.size()) - 1;
+  reflector_out_[static_cast<std::size_t>(edge.reflector)].push_back(id);
+  sink_in_[static_cast<std::size_t>(edge.sink)].push_back(id);
+  return id;
 }
 
 int OverlayInstance::num_colors() const {
@@ -43,29 +58,7 @@ int OverlayInstance::num_colors() const {
   return colors;
 }
 
-void OverlayInstance::freeze() const {
-  if (frozen_) return;
-  reflector_out_.assign(reflectors_.size(), {});
-  sink_in_.assign(sinks_.size(), {});
-  source_out_.assign(sources_.size(), {});
-  sr_lookup_.assign(sources_.size(),
-                    std::vector<int>(reflectors_.size(), -1));
-  for (std::size_t id = 0; id < sr_edges_.size(); ++id) {
-    const SourceReflectorEdge& e = sr_edges_[id];
-    source_out_[static_cast<std::size_t>(e.source)].push_back(static_cast<int>(id));
-    sr_lookup_[static_cast<std::size_t>(e.source)]
-              [static_cast<std::size_t>(e.reflector)] = static_cast<int>(id);
-  }
-  for (std::size_t id = 0; id < rd_edges_.size(); ++id) {
-    const ReflectorSinkEdge& e = rd_edges_[id];
-    reflector_out_[static_cast<std::size_t>(e.reflector)].push_back(static_cast<int>(id));
-    sink_in_[static_cast<std::size_t>(e.sink)].push_back(static_cast<int>(id));
-  }
-  frozen_ = true;
-}
-
 int OverlayInstance::find_sr_edge(int source, int reflector) const {
-  freeze();
   if (source < 0 || source >= num_sources() || reflector < 0 ||
       reflector >= num_reflectors()) {
     return -1;
@@ -75,7 +68,6 @@ int OverlayInstance::find_sr_edge(int source, int reflector) const {
 }
 
 int OverlayInstance::find_rd_edge(int reflector, int sink) const {
-  freeze();
   if (reflector < 0 || reflector >= num_reflectors()) return -1;
   for (int id : reflector_out_[static_cast<std::size_t>(reflector)]) {
     if (rd_edges_[static_cast<std::size_t>(id)].sink == sink) return id;
@@ -84,17 +76,14 @@ int OverlayInstance::find_rd_edge(int reflector, int sink) const {
 }
 
 const std::vector<int>& OverlayInstance::reflector_out(int reflector) const {
-  freeze();
   return reflector_out_.at(static_cast<std::size_t>(reflector));
 }
 
 const std::vector<int>& OverlayInstance::sink_in(int sink) const {
-  freeze();
   return sink_in_.at(static_cast<std::size_t>(sink));
 }
 
 const std::vector<int>& OverlayInstance::source_out(int source) const {
-  freeze();
   return source_out_.at(static_cast<std::size_t>(source));
 }
 
@@ -135,10 +124,6 @@ void OverlayInstance::validate() const {
   }
   std::set<std::pair<int, int>> seen_sr;
   for (const SourceReflectorEdge& e : sr_edges_) {
-    if (e.source < 0 || e.source >= num_sources() || e.reflector < 0 ||
-        e.reflector >= num_reflectors()) {
-      throw std::invalid_argument("OverlayInstance: dangling SR edge");
-    }
     if (e.cost < 0.0) throw std::invalid_argument("OverlayInstance: negative SR cost");
     check_prob(e.loss, "SR loss");
     if (!(e.delay_ms >= 0.0)) {
@@ -150,10 +135,6 @@ void OverlayInstance::validate() const {
   }
   std::set<std::pair<int, int>> seen_rd;
   for (const ReflectorSinkEdge& e : rd_edges_) {
-    if (e.reflector < 0 || e.reflector >= num_reflectors() || e.sink < 0 ||
-        e.sink >= num_sinks()) {
-      throw std::invalid_argument("OverlayInstance: dangling RD edge");
-    }
     if (e.cost < 0.0) throw std::invalid_argument("OverlayInstance: negative RD cost");
     check_prob(e.loss, "RD loss");
     if (!(e.delay_ms >= 0.0)) {

@@ -188,9 +188,6 @@ net::OverlayInstance make_akamai_like(const AkamaiLikeConfig& cfg) {
   }
 
   inst.validate();
-  // Hand back the lookup indexes built, so threads that share the result
-  // only read them (their lazy build is not thread-safe).
-  inst.freeze();
   return inst;
 }
 

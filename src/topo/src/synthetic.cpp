@@ -87,9 +87,6 @@ net::OverlayInstance make_uniform_random(const UniformConfig& cfg) {
     }
   }
   inst.validate();
-  // Hand back the lookup indexes built, so threads that share the result
-  // only read them (their lazy build is not thread-safe).
-  inst.freeze();
   return inst;
 }
 

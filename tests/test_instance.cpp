@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "omn/net/serialize.hpp"
 
 namespace {
 
@@ -46,6 +51,25 @@ TEST(Instance, AdjacencyIndexes) {
   EXPECT_EQ(inst.find_sr_edge(0, 99), -1);
   EXPECT_EQ(inst.find_rd_edge(1, 0), 1);
   EXPECT_EQ(inst.find_rd_edge(0, 99), -1);
+}
+
+// Design attempts and sweep cells read one instance from several threads
+// as soon as it is loaded; no indexed read may write shared state (run
+// under -DOMN_TSAN=ON to check).
+TEST(Instance, LoadedInstanceIsSharedAcrossThreadsBeforeAnyRead) {
+  const OverlayInstance inst = omn::net::from_text(omn::net::to_text(tiny()));
+  std::vector<std::thread> readers;
+  std::vector<int> found(4, 0);
+  for (std::size_t t = 0; t < found.size(); ++t) {
+    readers.emplace_back([&inst, &found, t] {
+      found[t] = inst.find_sr_edge(0, 1) +
+                 static_cast<int>(inst.sink_in(0).size()) +
+                 static_cast<int>(inst.reflector_out(1).size()) +
+                 inst.find_rd_edge(1, 0);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int sum : found) EXPECT_EQ(sum, 1 + 2 + 1 + 1);
 }
 
 TEST(Instance, AdjacencyRefreshesAfterMutation) {
@@ -110,10 +134,20 @@ TEST(Instance, ValidateRejectsBadLoss) {
   EXPECT_THROW(inst.validate(), std::invalid_argument);
 }
 
-TEST(Instance, ValidateRejectsDanglingEdge) {
+TEST(Instance, AddRejectsDanglingEdge) {
   OverlayInstance inst = tiny();
-  inst.add_reflector_sink_edge(ReflectorSinkEdge{0, 7, 0.1, 0.1, {}});
-  EXPECT_THROW(inst.validate(), std::invalid_argument);
+  EXPECT_THROW(
+      inst.add_reflector_sink_edge(ReflectorSinkEdge{0, 7, 0.1, 0.1, {}}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      inst.add_source_reflector_edge(SourceReflectorEdge{3, 0, 1.0, 0.1}),
+      std::invalid_argument);
+  EXPECT_EQ(inst.rd_edges().size(), 2u);
+  EXPECT_EQ(inst.sr_edges().size(), 2u);
+  // A file whose last RD edge names a missing sink fails to load.
+  std::string text = omn::net::to_text(tiny());
+  text.replace(text.rfind("\n1 0 "), 5, "\n1 7 ");
+  EXPECT_THROW((void)omn::net::from_text(text), std::invalid_argument);
 }
 
 TEST(Instance, ValidateRejectsDuplicateEdge) {

@@ -12,10 +12,11 @@
 //    on.  This is what licenses `serve` to claim its designs are the
 //    designs a from-scratch rerun would produce.
 //
-//  - ServeCrash SIGKILLs a live daemon mid-stream (this binary re-invokes
-//    itself as `test_serve serve-child`, speaking the line protocol over
-//    pipes) and asserts the resumed session replays the journal to the
-//    bit-identical design digest.
+//  - ServeSession.ReplayConvergesToIdenticalDesign drops a journaled
+//    session without quit and asserts the resumed session replays the
+//    journal to the bit-identical design digest.  The same guarantee
+//    against a SIGKILLed `omn_design serve` process is the ctest
+//    omn_design_serve_sigkill_replay (tests/cli_serve_sigkill_replay.sh).
 //
 // The committed golden journal (tests/data/serve_journal_v1.bin) pins the
 // v1 byte format: the file must decode, re-encode byte-identically, and
@@ -48,7 +49,6 @@
 #include "omn/serve/serve.hpp"
 #include "omn/topo/akamai.hpp"
 #include "omn/topo/synthetic.hpp"
-#include "omn/util/subprocess.hpp"
 
 namespace {
 
@@ -105,10 +105,10 @@ DesignerConfig base_config() {
   return cfg;
 }
 
-/// The fixed config of the self-spawned `serve-child` daemon; the parent
-/// side of the crash tests must use the identical config or resume will
-/// (correctly) refuse the journal.
-DesignerConfig serve_child_config() {
+/// base_config() with LP warm starts on, as `serve --warm-start` runs; a
+/// resume must use the identical config or it (correctly) refuses the
+/// journal.
+DesignerConfig warm_config() {
   DesignerConfig cfg = base_config();
   cfg.lp_warm_start = true;
   return cfg;
@@ -734,7 +734,7 @@ TEST(ServeSession, ReplayConvergesToIdenticalDesign) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
   const std::string journal = temp_path("serve_replay_journal");
-  const DesignerConfig cfg = serve_child_config();
+  const DesignerConfig cfg = warm_config();
   omn::serve::ChurnConfig churn;
   churn.seed = 31;
   const std::vector<Event> events =
@@ -763,7 +763,7 @@ TEST(ServeSession, ResumeDropsTornTailAndRejectsConfigMismatch) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
   const std::string journal = temp_path("serve_torn_journal");
-  const DesignerConfig cfg = serve_child_config();
+  const DesignerConfig cfg = warm_config();
   omn::serve::ChurnConfig churn;
   churn.seed = 37;
   const std::vector<Event> events =
@@ -805,7 +805,7 @@ TEST(ServeSession, SnapshotCompactsTheJournal) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
   const std::string journal = temp_path("serve_snapshot_journal");
-  const DesignerConfig cfg = serve_child_config();
+  const DesignerConfig cfg = warm_config();
   omn::serve::ChurnConfig churn;
   churn.seed = 41;
   const std::vector<Event> events =
@@ -833,116 +833,11 @@ TEST(ServeSession, SnapshotCompactsTheJournal) {
   std::remove(journal.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// SIGKILL crash replay (self-spawned daemon over pipes)
-
-std::string read_line_from(omn::util::Subprocess& child) {
-  std::string line;
-  char byte = 0;
-  while (child.read_exact(&byte, 1) == 1) {
-    if (byte == '\n') return line;
-    line.push_back(byte);
-  }
-  ADD_FAILURE() << "child stream ended mid-line: '" << line << "'";
-  return line;
-}
-
-void send_line_to(omn::util::Subprocess& child, const std::string& line) {
-  const std::string with_newline = line + "\n";
-  ASSERT_TRUE(child.write_exact(with_newline.data(), with_newline.size()));
-}
-
-std::string field_of(const std::string& line, const std::string& key) {
-  const std::size_t at = line.find(key + "=");
-  EXPECT_NE(at, std::string::npos) << key << " in: " << line;
-  if (at == std::string::npos) return "";
-  const std::size_t start = at + key.size() + 1;
-  const std::size_t end = line.find(' ', start);
-  return line.substr(start, end == std::string::npos ? end : end - start);
-}
-
-TEST(ServeCrash, SigkilledDaemonReplaysToIdenticalDigest) {
-  const std::string exe = omn::util::current_executable_path();
-  ASSERT_FALSE(exe.empty());
-  const auto inst =
-      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
-  const std::string inst_path = temp_path("serve_crash_instance");
-  const std::string journal = temp_path("serve_crash_journal");
-  std::remove(journal.c_str());
-  omn::net::save_file(inst, inst_path);
-
-  omn::serve::ChurnConfig churn;
-  churn.seed = 43;
-  const std::vector<Event> events =
-      omn::serve::ChurnGenerator(inst, churn).take(5);
-
-  // Session A: feed 5 events, read 5 acks, then SIGKILL — no quit, no
-  // chance to flush anything beyond what append() already forced out.
-  auto child = omn::util::Subprocess::spawn(
-      {exe, "serve-child", inst_path, journal});
-  ASSERT_TRUE(child.valid());
-  EXPECT_EQ(read_line_from(child).rfind("ok 0 ready ", 0), 0u);
-  for (const Event& event : events) {
-    send_line_to(child, event.to_line());
-    const std::string ack = read_line_from(child);
-    ASSERT_EQ(ack.rfind("ok ", 0), 0u) << ack;
-  }
-  child.kill();
-  EXPECT_EQ(child.wait(), 128 + 9);
-
-  // Session B resumes from the journal; its ready line carries the
-  // replayed count and the converged digest.
-  auto resumed = omn::util::Subprocess::spawn(
-      {exe, "serve-child", inst_path, journal});
-  const std::string ready = read_line_from(resumed);
-  EXPECT_EQ(field_of(ready, "replayed"), "5");
-  const std::string resumed_digest = field_of(ready, "digest");
-
-  // Reference: the same stream applied in-process under the same config.
-  DesignState reference(inst, serve_child_config(),
-                        omn::util::ExecutionContext::serial());
-  reference.redesign();
-  for (const Event& event : events) {
-    omn::serve::apply_event(reference, event);
-    reference.redesign();
-  }
-  EXPECT_EQ(resumed_digest, reference.design_digest().hex());
-
-  // And the resumed daemon keeps serving: one more event, clean quit.
-  send_line_to(resumed, "query");
-  EXPECT_EQ(field_of(read_line_from(resumed), "digest"), resumed_digest);
-  send_line_to(resumed, "quit");
-  EXPECT_EQ(read_line_from(resumed).rfind("ok 5 bye", 0), 0u);
-  EXPECT_EQ(resumed.wait(), 0);
-
-  std::remove(inst_path.c_str());
-  std::remove(journal.c_str());
-}
-
 }  // namespace
 
-// Self-spawned daemon entry for the crash tests: `test_serve serve-child
-// <instance> <journal>` runs a ServeSession on stdin/stdout under the
-// fixed serve_child_config(), resuming when the journal file exists.
+// `test_serve write-golden <path>` regenerates the committed journal
+// golden; anything else runs the suites.
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "serve-child") {
-    if (argc < 4) {
-      std::fprintf(stderr,
-                   "usage: test_serve serve-child <instance> <journal>\n");
-      return 2;
-    }
-    ServeOptions options;
-    options.config = serve_child_config();
-    options.journal_path = argv[3];
-    omn::util::ExecutionContext context =
-        omn::util::ExecutionContext::serial();
-    if (std::ifstream(options.journal_path).good()) {
-      ServeSession session = ServeSession::resume(options, context);
-      return session.run(std::cin, std::cout);
-    }
-    ServeSession session(omn::net::load_file(argv[2]), options, context);
-    return session.run(std::cin, std::cout);
-  }
   if (argc >= 3 && std::string(argv[1]) == "write-golden") {
     const std::string bytes = Journal::encode(golden_header(), golden_events());
     std::ofstream out(argv[2], std::ios::binary | std::ios::trunc);

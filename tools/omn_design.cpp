@@ -18,17 +18,15 @@
 //   failover  --instance inst.txt --design design.txt
 //
 // Each subcommand accepts exactly the options listed for it above: an
-// unknown or misspelled option, a value given to a stand-alone flag, or a
-// value option given without its value is a usage error (exit 2), and so
-// is a --c that is not positive, an empty --c list item, --seeds 0,
-// --attempts 0, --packets 0, or an --isp-outage-prob outside [0, 1]; all
-// of these are caught before the instance is loaded.
+// unknown or misspelled option, a stray positional argument, a value
+// given to a stand-alone flag, or a value option given without its value
+// is a usage error (exit 2), and so is a --c that is not positive, an
+// empty --c list item, --seeds 0, --attempts 0, --packets 0, or an
+// --isp-outage-prob outside [0, 1]; all of these are caught before the
+// instance is loaded.
 //
-// Global flags (any subcommand, any position; stripped before the
+// Global flag (any subcommand, any position; stripped before the
 // subcommand parser runs):
-//   --log FILE    tee everything printed to stdout/stderr into FILE,
-//                 each line stamped with seconds since startup (the
-//                 console output is unchanged; see omn/util/log.hpp)
 //   --trace FILE  record hierarchical spans (designer stages, LP
 //                 phases, cache traffic, pool chunks) and write a
 //                 Chrome trace-event JSON timeline at exit — load FILE
@@ -103,7 +101,6 @@
 #include "omn/topo/akamai.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/json.hpp"
-#include "omn/util/log.hpp"
 #include "omn/util/parse.hpp"
 #include "omn/util/script.hpp"
 #include "omn/util/table.hpp"
@@ -166,7 +163,7 @@ Args parse(const std::vector<std::string>& tokens) {
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     std::string token = tokens[i];
     if (token.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument: " + token);
+      throw UsageError("unexpected argument: " + token);
     }
     token = token.substr(2);
     const bool value_follows =
@@ -238,36 +235,29 @@ omn::core::DesignerConfig designer_config(const Args& args) {
   return cfg;
 }
 
-/// Strips the global `--log FILE` / `--trace FILE` flags (valid for
-/// every subcommand, at any position) out of the token list and applies
-/// them: --log installs the stdout/stderr tee, --trace turns span
-/// recording on and registers the Chrome-trace export at exit.  Strict:
+/// Strips the global `--trace FILE` flag (valid for every subcommand, at
+/// any position) out of the token list and applies it: span recording
+/// goes on and the Chrome-trace export is registered for exit.  Strict:
 /// a missing or flag-like value is a UsageError.
 void apply_global_flags(std::vector<std::string>& tokens) {
   for (auto it = tokens.begin(); it != tokens.end();) {
-    if (*it != "--log" && *it != "--trace") {
+    if (*it != "--trace") {
       ++it;
       continue;
     }
-    const std::string flag = *it;
     it = tokens.erase(it);
     if (it == tokens.end() || it->rfind("--", 0) == 0) {
-      throw UsageError(flag + " needs a file path argument");
+      throw UsageError("--trace needs a file path argument");
     }
-    const std::string path = *it;
+    omn::util::Trace::set_enabled(true);
+    omn::obs::export_trace_at_exit(*it, "omn_design");
     it = tokens.erase(it);
-    if (flag == "--log") {
-      omn::util::install_log_tee(path);
-    } else {
-      omn::util::Trace::set_enabled(true);
-      omn::obs::export_trace_at_exit(path, "omn_design");
-    }
   }
 }
 
 int usage() {
   std::cerr <<
-      "usage: omn_design [--log FILE] [--trace FILE] <command> [options]\n"
+      "usage: omn_design [--trace FILE] <command> [options]\n"
       "  generate  --sinks N [--isps K] [--seed S] [--eu-heavy] --out F\n"
       "  design    --instance F [--seed S] [--c C] [--colors] [--bandwidth]\n"
       "            [--attempts A] [--threads T] [--lp-cache DIR] [--out F]\n"
