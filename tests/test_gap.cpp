@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "omn/core/rounding.hpp"
 #include "omn/lp/simplex.hpp"
 #include "omn/topo/akamai.hpp"
+#include "omn/util/hash.hpp"
 
 namespace {
 
@@ -178,5 +181,58 @@ INSTANTIATE_TEST_SUITE_P(
     TopologiesAndSeeds, GapEndToEnd,
     ::testing::Combine(::testing::Values(12, 24, 40),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u)));
+
+// ---- pinned output ---------------------------------------------------------
+
+/// One input of the pinned set: an Akamai-like instance, its LP and the
+/// randomized-rounding x̄ that GAP rounding starts from.
+struct PinnedInput {
+  omn::net::OverlayInstance inst;
+  OverlayLp lp;
+  std::vector<double> x_bar;
+};
+
+/// Akamai-like instances at 16/32/64 sinks and two topology seeds, each
+/// rounded at c in {1, 4, 16}: 18 box networks.
+std::vector<PinnedInput> pinned_inputs() {
+  std::vector<PinnedInput> out;
+  for (const int sinks : {16, 32, 64}) {
+    for (const std::uint64_t topo_seed : {11u, 12u}) {
+      const auto inst = omn::topo::make_akamai_like(
+          omn::topo::global_event_config(sinks, topo_seed));
+      const OverlayLp lp = build_overlay_lp(inst);
+      const auto sol = omn::lp::SimplexSolver().solve(lp.model);
+      if (sol.status != omn::lp::SolveStatus::kOptimal) continue;
+      const auto frac = lp.extract(inst, sol.x);
+      for (const double c : {1.0, 4.0, 16.0}) {
+        omn::core::RoundingOptions ropt;
+        ropt.c = c;
+        ropt.seed = topo_seed * 100 + static_cast<std::uint64_t>(c);
+        out.push_back(PinnedInput{
+            inst, lp, omn::core::randomized_round(inst, lp, frac, ropt).x});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GapRound, OutputIsPinned) {
+  // Known answer for gap_round over the pinned set: the integral x, the
+  // routed units and the bits of the flow cost.  A faster flow solver must
+  // leave this digest alone; a move means the rounding chose differently.
+  const std::vector<PinnedInput> inputs = pinned_inputs();
+  ASSERT_EQ(inputs.size(), 18u);
+  omn::util::Hasher h;
+  for (const PinnedInput& in : inputs) {
+    const GapResult r = gap_round(in.inst, in.lp, in.x_bar);
+    EXPECT_TRUE(r.saturated);
+    for (const std::uint8_t v : r.x) h.u8(v);
+    h.i64(r.flow);
+    std::uint64_t cost_bits = 0;
+    std::memcpy(&cost_bits, &r.flow_cost, sizeof cost_bits);
+    h.u64(cost_bits);
+  }
+  EXPECT_EQ(h.digest().hex(), "8b8428e6eee94d74ee0057d8a2a38ece");
+}
 
 }  // namespace
