@@ -4,6 +4,14 @@
 // negative-cost edges are accepted as long as no negative cycle is
 // reachable with positive residual capacity).
 //
+// Each round's Dijkstra stops as soon as the sink is settled instead of
+// labelling the whole graph.  Potentials are then updated the truncated
+// Johnson way, p(v) += min(d(v), d(sink)): nodes settled before the sink
+// gain their distance, every other node gains the sink's (nodes the
+// Bellman-Ford start never reached keep an infinite potential).  Reduced
+// costs stay nonnegative under this update, so every augmenting path is
+// still a shortest one; ties break exactly as in the exhaustive search.
+//
 // The Section-5 rounding needs: "there exists a maximum flow with flow
 // variables equal to 0, 1/2 or 1 that has a cost at most C-bar" — we scale
 // the half-integral capacities by 2 and ask this solver for an integral

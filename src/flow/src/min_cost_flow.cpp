@@ -1,9 +1,10 @@
 #include "omn/flow/min_cost_flow.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace omn::flow {
@@ -72,19 +73,24 @@ MinCostFlowResult min_cost_flow(Graph& graph, int source, int sink,
   MinCostFlowResult result;
   std::vector<double> dist(n);
   std::vector<int> parent_edge(n);
+  // Min-heap of (distance, node) kept across rounds; push_heap/pop_heap
+  // with std::greater order it exactly as std::priority_queue would.
+  using Item = std::pair<double, int>;
+  std::vector<Item> heap;
 
   while (result.flow < target) {
-    // Dijkstra on reduced costs.
+    // Dijkstra on reduced costs, stopped once the sink is settled.
     std::fill(dist.begin(), dist.end(), kInf);
     std::fill(parent_edge.begin(), parent_edge.end(), -1);
-    using Item = std::pair<double, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    heap.clear();
     dist[static_cast<std::size_t>(source)] = 0.0;
-    heap.emplace(0.0, source);
+    heap.emplace_back(0.0, source);
     while (!heap.empty()) {
-      const auto [du, u] = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const auto [du, u] = heap.back();
+      heap.pop_back();
       if (du > dist[static_cast<std::size_t>(u)] + kEps) continue;
+      if (u == sink) break;
       if (potential[static_cast<std::size_t>(u)] == kInf) continue;
       for (int id : graph.out_edges(u)) {
         const Edge& e = graph.edge(id);
@@ -100,15 +106,19 @@ MinCostFlowResult min_cost_flow(Graph& graph, int source, int sink,
         if (cand < dist[static_cast<std::size_t>(e.to)] - kEps) {
           dist[static_cast<std::size_t>(e.to)] = cand;
           parent_edge[static_cast<std::size_t>(e.to)] = id;
-          heap.emplace(cand, e.to);
+          heap.emplace_back(cand, e.to);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>());
         }
       }
     }
     if (parent_edge[static_cast<std::size_t>(sink)] < 0) break;  // saturated
 
-    // Update potentials with the new shortest distances.
+    // Truncated potential update: settled nodes gain their distance, all
+    // others (unsettled, unreached) gain the sink's.  Reduced costs stay
+    // nonnegative, so the next round's Dijkstra is still exact.
+    const double sink_dist = dist[static_cast<std::size_t>(sink)];
     for (std::size_t v = 0; v < n; ++v) {
-      if (dist[v] < kInf) potential[v] += dist[v];
+      potential[v] += std::min(dist[v], sink_dist);
     }
 
     // Find bottleneck along the augmenting path.
