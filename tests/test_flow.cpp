@@ -1,6 +1,7 @@
 // Unit and property tests for the flow substrate, including a cross-check
 // of min-cost flow against the LP solver on random transportation problems
-// (two independently implemented substrates must agree).
+// (two independently implemented substrates must agree) and the residual
+// optimality certificate (flow_certificate.hpp) on random graphs.
 #include "omn/flow/graph.hpp"
 #include "omn/flow/max_flow.hpp"
 #include "omn/flow/min_cost_flow.hpp"
@@ -10,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "flow_certificate.hpp"
 #include "omn/lp/model.hpp"
 #include "omn/lp/simplex.hpp"
 #include "omn/util/rng.hpp"
@@ -19,6 +21,8 @@ namespace {
 using omn::flow::Graph;
 using omn::flow::max_flow;
 using omn::flow::min_cost_flow;
+using omn::flow::MinCostFlowResult;
+using omn::flow::testing::check_min_cost_flow;
 
 TEST(Graph, AddEdgeCreatesTwin) {
   Graph g(2);
@@ -150,6 +154,67 @@ TEST(MinCostFlow, ZeroTarget) {
   EXPECT_DOUBLE_EQ(r.cost, 0.0);
 }
 
+// ---- property: the residual certificate on random graphs ----------------
+
+/// A random sparse graph on n <= 40 nodes (source 0, sink n - 1) with no
+/// negative cycle: edges u -> v with u < v form a DAG and may cost as
+/// little as -3; an edge back from u to v < u costs at least 3 (u - v), so
+/// every cycle pays back more than its forward edges can save.
+Graph random_certified_graph(omn::util::Rng& rng) {
+  const int n = 2 + static_cast<int>(rng.uniform_index(39));
+  Graph g(n);
+  const int edges = 2 * n + static_cast<int>(rng.uniform_index(2 * n + 1));
+  for (int k = 0; k < edges; ++k) {
+    const int u = static_cast<int>(rng.uniform_index(n));
+    const int v = static_cast<int>(rng.uniform_index(n));
+    if (u == v) continue;
+    const auto cap = static_cast<std::int64_t>(rng.uniform_index(8));
+    const double cost = u < v ? rng.uniform(-3.0, 10.0)
+                              : rng.uniform(0.0, 10.0) + 3.0 * (u - v);
+    g.add_edge(u, v, cap, cost);
+  }
+  return g;
+}
+
+TEST(MinCostFlow, CertifiedOn200RandomGraphs) {
+  omn::util::Rng rng(2024);
+  int with_negative = 0;
+  int routed = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    Graph g = random_certified_graph(rng);
+    const int sink = g.num_nodes() - 1;
+    for (int id = 0; id < 2 * g.num_edges(); id += 2) {
+      if (g.edge(id).cost < 0.0 && g.edge(id).capacity > 0) {
+        ++with_negative;
+        break;
+      }
+    }
+    ASSERT_FALSE(omn::flow::testing::has_negative_residual_cycle(g))
+        << "trial " << trial;
+    // A partial flow first, then the rest on the same residual graph: the
+    // second call restarts from Bellman-Ford potentials over the reverse
+    // edges the first one left behind.
+    const auto first = min_cost_flow(
+        g, 0, sink, 1 + static_cast<std::int64_t>(rng.uniform_index(4)));
+    const auto after_first = check_min_cost_flow(g, 0, sink, first);
+    EXPECT_TRUE(after_first.ok)
+        << "trial " << trial << " first call: " << after_first.failure;
+    const auto second =
+        min_cost_flow(g, 0, sink, std::numeric_limits<std::int64_t>::max());
+    MinCostFlowResult both;
+    both.flow = first.flow + second.flow;
+    both.cost = first.cost + second.cost;
+    if (first.flow > 0 && second.flow > 0) ++routed;
+    const auto after_both = check_min_cost_flow(g, 0, sink, both);
+    EXPECT_TRUE(after_both.ok)
+        << "trial " << trial << " second call: " << after_both.failure;
+  }
+  // The generator must exercise the Bellman-Ford start, and both calls
+  // must route flow often enough for the certificate to bite.
+  EXPECT_GT(with_negative, 100);
+  EXPECT_GT(routed, 80);
+}
+
 // ---- property: min-cost flow agrees with the LP solver -------------------
 
 struct Transportation {
@@ -215,6 +280,8 @@ TEST_P(TransportationTest, MinCostFlowMatchesSimplex) {
   }
   const auto flow = min_cost_flow(g, s_node, t_node, total);
   ASSERT_TRUE(flow.reached_target);
+  const auto cert = check_min_cost_flow(g, s_node, t_node, flow);
+  EXPECT_TRUE(cert.ok) << cert.failure << " (seed=" << GetParam() << ")";
 
   // LP formulation of the same problem.
   omn::lp::Model m;

@@ -1,6 +1,8 @@
 // Tests for the Section-5 modified GAP rounding: box-network structure,
 // saturation, integrality, and the paper's factor-4 weight guarantee, both
-// on hand-built fractional inputs and end-to-end over seeds (TEST_P).
+// on hand-built fractional inputs and end-to-end over seeds (TEST_P); a
+// pinned digest of gap_round's output and the min-cost-flow certificate
+// (flow_certificate.hpp) on the same box networks.
 #include "omn/core/gap.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +11,9 @@
 #include <cstring>
 #include <vector>
 
+#include "flow_certificate.hpp"
 #include "omn/core/rounding.hpp"
+#include "omn/flow/min_cost_flow.hpp"
 #include "omn/lp/simplex.hpp"
 #include "omn/topo/akamai.hpp"
 #include "omn/util/hash.hpp"
@@ -233,6 +237,25 @@ TEST(GapRound, OutputIsPinned) {
     h.u64(cost_bits);
   }
   EXPECT_EQ(h.digest().hex(), "8b8428e6eee94d74ee0057d8a2a38ece");
+}
+
+TEST(GapRound, PinnedFlowsAreCertified) {
+  // The same networks through gap_round's two stages: the min-cost flow on
+  // each box network must pass the residual optimality certificate and
+  // route what gap_round reports.
+  for (const PinnedInput& in : pinned_inputs()) {
+    BoxNetwork net = build_box_network(in.inst, in.lp, in.x_bar);
+    ASSERT_FALSE(net.boxes.empty());
+    const auto flow = omn::flow::min_cost_flow(net.graph, net.source,
+                                               net.sink_t, net.demand());
+    EXPECT_TRUE(flow.reached_target);
+    const auto cert = omn::flow::testing::check_min_cost_flow(
+        net.graph, net.source, net.sink_t, flow);
+    EXPECT_TRUE(cert.ok) << cert.failure;
+    const GapResult r = gap_round(in.inst, in.lp, in.x_bar);
+    EXPECT_EQ(flow.flow, r.flow);
+    EXPECT_EQ(flow.cost, r.flow_cost);
+  }
 }
 
 }  // namespace
