@@ -33,9 +33,10 @@
 // The stats cache_* fields read the session's own LpCache (all 0 without
 // one): cache_disk_reads is its disk hits, cache_disk_writes its
 // insertions when it has a directory.
-// run() additionally opens with `ok 0 ready ... replayed=<k>
-// digest=<hex32>` so a supervisor can see a resumed session converge
-// before sending anything.
+// run() additionally opens with `ok <seq> ready status=<s> cost=<c>
+// reflectors=<built> replayed=<k> digest=<hex32>` (the same design
+// fields a query would answer; <seq> = <k> after a resume) so a
+// supervisor can see a resumed session converge before sending anything.
 //
 // Threading: one session is confined to one thread (the redesigns fan
 // out on the session's ExecutionContext; a shared LpCache service may be
@@ -114,7 +115,7 @@ class ServeSession {
   /// True once quit was handled; handle_line must not be called again.
   bool done() const { return done_; }
 
-  /// The `ok 0 ready ...` line run() opens with.
+  /// The `ok <seq> ready ...` line run() opens with.
   std::string ready_line() const;
 
   /// Drives the full loop: ready line, then one handle_line per input

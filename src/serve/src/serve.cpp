@@ -158,9 +158,11 @@ std::string ServeSession::stats_line() const {
 
 std::string ServeSession::ready_line() const {
   const core::DesignResult& result = state_.last();
-  return "ok 0 ready status=" + core::to_string(result.status) +
+  return "ok " + std::to_string(seq()) +
+         " ready status=" + core::to_string(result.status) +
          " cost=" + util::format_double(result.evaluation.total_cost, 2) +
-         " reflectors=" + std::to_string(state_.instance().num_reflectors()) +
+         " reflectors=" +
+         std::to_string(result.evaluation.reflectors_built) +
          " replayed=" + std::to_string(stats_.replayed) +
          " digest=" + state_.design_digest().hex();
 }

@@ -759,6 +759,45 @@ TEST(ServeSession, ReplayConvergesToIdenticalDesign) {
   std::remove(journal.c_str());
 }
 
+/// The value of `key=` in a response line ("" when absent).
+std::string field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size() + 2;
+  return line.substr(begin, line.find(' ', begin) - begin);
+}
+
+TEST(ServeSession, ResumedReadyLineMatchesQuery) {
+  // After a resume the ready line carries the replayed sequence number
+  // and describes the same design a query answers: built reflectors, not
+  // the instance's reflector count.
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  const std::string journal = temp_path("serve_ready_journal");
+  const DesignerConfig cfg = warm_config();
+  omn::serve::ChurnConfig churn;
+  churn.seed = 31;
+  {
+    ServeSession session(inst, journal_options(cfg, journal),
+                         omn::util::ExecutionContext::serial());
+    for (const Event& event :
+         omn::serve::ChurnGenerator(inst, churn).take(10)) {
+      ASSERT_EQ(session.handle_line(event.to_line()).rfind("ok ", 0), 0u);
+    }
+  }
+  ServeSession resumed = ServeSession::resume(
+      journal_options(cfg, journal), omn::util::ExecutionContext::serial());
+  const std::string ready = resumed.ready_line();
+  const std::string query = resumed.handle_line("query");
+  EXPECT_EQ(ready.rfind("ok 10 ready ", 0), 0u) << ready;
+  EXPECT_EQ(query.rfind("ok 10 design ", 0), 0u) << query;
+  EXPECT_FALSE(field(query, "reflectors").empty()) << query;
+  EXPECT_EQ(field(ready, "reflectors"), field(query, "reflectors"));
+  EXPECT_EQ(field(ready, "digest"), field(query, "digest"));
+  EXPECT_EQ(field(ready, "replayed"), "10");
+  std::remove(journal.c_str());
+}
+
 TEST(ServeSession, ResumeDropsTornTailAndRejectsConfigMismatch) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
