@@ -121,14 +121,20 @@ Event parse_ok(const std::string& line) {
   return event.value_or(Event{});
 }
 
+/// The value of `key=` in a response line ("" when absent).
+std::string field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size() + 2;
+  return line.substr(begin, line.find(' ', begin) - begin);
+}
+
 /// The value of `key=<n>` on a stats line (-1, plus a failure, when the
 /// key is missing).
 long long stat_of(const std::string& stats, const std::string& key) {
-  const std::size_t at = stats.find(" " + key + "=");
-  EXPECT_NE(at, std::string::npos) << key << " missing: " << stats;
-  return at == std::string::npos
-             ? -1
-             : std::stoll(stats.substr(at + key.size() + 2));
+  const std::string value = field(stats, key);
+  EXPECT_FALSE(value.empty()) << key << " missing: " << stats;
+  return value.empty() ? -1 : std::stoll(value);
 }
 
 void expect_rejected(const std::string& line) {
@@ -757,14 +763,6 @@ TEST(ServeSession, ReplayConvergesToIdenticalDesign) {
   EXPECT_EQ(digest_of(resumed), live_digest);
   EXPECT_NE(resumed.ready_line().find("replayed=10"), std::string::npos);
   std::remove(journal.c_str());
-}
-
-/// The value of `key=` in a response line ("" when absent).
-std::string field(const std::string& line, const std::string& key) {
-  const std::size_t at = line.find(" " + key + "=");
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + key.size() + 2;
-  return line.substr(begin, line.find(' ', begin) - begin);
 }
 
 TEST(ServeSession, ResumedReadyLineMatchesQuery) {
