@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "omn/topo/akamai.hpp"
+#include "omn/util/hash.hpp"
 #include "omn/topo/synthetic.hpp"
 
 namespace {
@@ -133,6 +136,34 @@ TEST(Designer, InjectedContextBitIdenticalAcrossContexts) {
   EXPECT_EQ(a.design.x, c.design.x);
   EXPECT_EQ(a.evaluation.total_cost, b.evaluation.total_cost);
   EXPECT_EQ(a.evaluation.total_cost, c.evaluation.total_cost);
+}
+
+TEST(Designer, OutputIsPinned) {
+  // Known answer for cold end-to-end designs at 16/32/64 sinks, plain GAP
+  // rounding and color rounding: the z/y/x bits and the bits of the LP
+  // objective.  A faster LP or rounding stage must leave this digest
+  // alone; a move means some stage chose a different point.
+  omn::util::Hasher h;
+  for (const int sinks : {16, 32, 64}) {
+    for (const bool color : {false, true}) {
+      auto topo_cfg = omn::topo::global_event_config(sinks, 41);
+      topo_cfg.num_isps = 3;
+      const auto inst = omn::topo::make_akamai_like(topo_cfg);
+      DesignerConfig cfg;
+      cfg.seed = 7;
+      cfg.color_constraints = color;
+      const DesignResult r = OverlayDesigner(cfg).design(
+          inst, omn::util::ExecutionContext::serial());
+      ASSERT_TRUE(r.ok()) << sinks << (color ? " color" : " plain");
+      for (const std::uint8_t v : r.design.z) h.u8(v);
+      for (const std::uint8_t v : r.design.y) h.u8(v);
+      for (const std::uint8_t v : r.design.x) h.u8(v);
+      std::uint64_t objective_bits = 0;
+      std::memcpy(&objective_bits, &r.lp_objective, sizeof objective_bits);
+      h.u64(objective_bits);
+    }
+  }
+  EXPECT_EQ(h.digest().hex(), "cd952d719337b1c881038ce6d0300034");
 }
 
 // Regression: better_evaluation used to compare min_weight_ratio with
