@@ -10,9 +10,10 @@
 //
 //   cold: lp_warm_start off — every event pays a full simplex solve, the
 //         cost `omn_design design` would pay per rerun;
-//   warm: lp_warm_start on — the session's memory LpCache serves
-//         byte-identical re-solves (fail + restore pairs) for zero pivots
-//         and warm-starts same-shaped re-solves from the previous basis.
+//   warm: lp_warm_start on — the session's DesignState starts each
+//         re-solve from the previous redesign's optimal basis; there is
+//         no LP cache, so same-shaped events (edge fail/restore, fanout
+//         changes) warm-start and node joins/leaves solve cold.
 //
 // The point of the experiment is the pivot ledger: warm incremental
 // redesign must do strictly less simplex work per event than cold — the
@@ -20,9 +21,8 @@
 // exact counters via BENCH_e15.json.  Each --metrics record is the
 // session's own ServeStats record (serve::to_json).
 //
-// Flags: see bench_common.hpp.  --lp-cache exits 2: the warm variant's
-// cache must stay memory-only for the committed counters to be
-// machine-independent.
+// Flags: see bench_common.hpp.  --lp-cache exits 2: neither variant uses
+// an LP cache, so the committed counters stay machine-independent.
 
 #include <cstdio>
 #include <cstdlib>
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     // The experiment's claim, enforced: warm incremental redesign does
     // strictly less simplex work over the stream, and actually warm-starts
     // (a vacuous pass where warm never engaged would hide a regression in
-    // the shape index).
+    // the basis hand-off).
     if (warm.lp.iterations >= cold.lp.iterations ||
         warm.lp.warm_start_hits + warm.lp.cache_hits == 0) {
       std::fprintf(stderr,
@@ -131,9 +131,8 @@ int main(int argc, char** argv) {
   omn::bench::print_table(
       table, "E15: incremental redesign under churn (cold vs warm)",
       "Expected: the warm variant performs strictly fewer simplex pivots\n"
-      "than cold on every size — byte-identical re-solves (fail+restore\n"
-      "pairs) hit the cache for zero pivots and same-shaped re-solves\n"
-      "warm-start from the previous optimal basis.");
+      "than cold on every size — same-shaped re-solves warm-start from\n"
+      "the previous optimal basis.");
   if (!gate_ok) return 1;
   std::printf("e15_churn: warm < cold pivots on every size — gate PASSED\n");
   return 0;

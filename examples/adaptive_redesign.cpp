@@ -10,13 +10,13 @@
 //
 // The adaptive side runs on core::DesignState — the incremental-redesign
 // primitive behind `omn_design serve`: one state owns the drifting
-// instance, the shared ExecutionContext, and (with lp_warm_start) an LP
-// cache whose shape index offers each epoch's solve the previous epoch's
-// optimal basis.  Loss drift never changes the LP *shape*, so the offer
-// is always made; the solver accepts it only when the old basis is still
-// primal feasible under the new coefficients — local perturbations yes,
-// an every-edge drift epoch usually not.  The "pivots"/"warm" columns
-// make that visible per epoch.
+// instance, the shared ExecutionContext, and (with lp_warm_start) the
+// previous epoch's optimal basis, which it offers to each epoch's solve.
+// Loss drift never changes the LP *shape*, so the offer always fits; the
+// solver accepts it only when the old basis is still primal feasible
+// under the new coefficients — local perturbations yes, an every-edge
+// drift epoch usually not.  The "pivots"/"warm" columns make that visible
+// per epoch.
 //
 //   $ ./examples/adaptive_redesign [epochs] [seed]
 
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   cfg.lp_warm_start = true;
 
   // One DesignState for the whole event: one scheduler pool across every
-  // epoch's redesign, one warm LP cache across every epoch's solve.
+  // epoch's redesign, each epoch's solve offered the previous basis.
   core::DesignState state(inst, cfg, util::ExecutionContext::global());
 
   const auto& initial = state.redesign();

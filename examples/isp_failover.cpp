@@ -12,9 +12,11 @@
 //  2. *After the operator reacts*: an incremental core::DesignState —
 //     the primitive behind `omn_design serve` — fails every edge out of
 //     the dead ISP's reflectors (the serve `edge-fail` event, applied in
-//     bulk), re-runs the designer warm, and reports the recovered design
-//     next to the simplex work the redesign cost.  edge-restore undoes
-//     the outage exactly, so one state serves all ISP scenarios in turn.
+//     bulk), re-runs the designer warm from the state's previous optimal
+//     basis (failed edges keep the LP's shape), and reports the recovered
+//     design next to the simplex work the redesign cost.  edge-restore
+//     undoes the outage exactly, so one state serves all ISP scenarios in
+//     turn.
 //
 //   $ ./examples/isp_failover [num_edgeservers] [num_isps] [seed]
 
@@ -125,7 +127,8 @@ int main(int argc, char** argv) {
 
   // Part 2: the operator's response.  One DesignState carries the event
   // through every outage scenario: fail the dead ISP's edges, redesign
-  // (warm where the solver can), measure, restore, next ISP.
+  // (from the previous outage's basis, where it stays primal feasible),
+  // measure, restore, next ISP.
   core::DesignerConfig failover_cfg = color_cfg;
   failover_cfg.lp_warm_start = true;
   core::DesignState state(inst, failover_cfg,

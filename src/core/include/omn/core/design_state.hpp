@@ -6,16 +6,17 @@
 // A DesignState owns a mutable OverlayInstance plus everything warm that
 // successive redesigns can reuse:
 //
-//  - the ExecutionContext (one shared pool across every redesign);
-//  - an LpCache service on that context when DesignerConfig::lp_warm_start
-//    is set (installed automatically on the state's own copy of the
-//    context if the caller did not provide one, so it never reaches the
-//    caller's handle or ExecutionContext::global()):
-//    the byte tier serves *identical* re-solves (e.g. after a
-//    fail + restore pair returns the instance to a prior state) with zero
-//    pivots, and the shape index warm-starts *same-shaped* re-solves
-//    (edge-loss/cost/fanout deltas) from the previous optimal basis;
-//  - the last DesignResult, for callers that report deltas.
+//  - the ExecutionContext (one shared pool across every redesign), used
+//    as given: the state installs no service on it.  An LpCache the
+//    caller installed serves identical re-solves as for any design;
+//  - the last DesignResult, for callers that report deltas.  It carries
+//    the basis its LP solution exported (DesignResult::lp_basis, from a
+//    solve or a cache hit), and the state is that basis's one owner: with
+//    DesignerConfig::lp_warm_start the next redesign passes it as
+//    lp_options.warm_start_basis.  Same-shaped events (edge fail/restore,
+//    fanout changes) can start from it; a node add/remove changes the
+//    LP's dimensions, so the solver rejects it and solves cold, as it
+//    does for a singular or primal-infeasible basis.
 //
 // Mutators map one-to-one onto the serve event protocol
 // (omn/serve/event.hpp): fail/restore edges by endpoint *names*, adjust a
@@ -31,9 +32,11 @@
 // and the LP objective still match the cold solve.
 //
 // Threading: a DesignState is confined to one thread.  The redesign
-// itself fans out on the shared context, and the LpCache service is
+// itself fans out on the shared context, and an LpCache service is
 // internally synchronized (other threads may share it concurrently), but
-// the mutators and redesign() must not race each other.
+// the mutators and redesign() must not race each other.  A warm redesign
+// is offered only the basis of this state's own previous redesign, never
+// a basis another state left in a shared cache.
 
 #include <cstdint>
 #include <functional>
@@ -67,10 +70,7 @@ struct FailedEdge {
 
 class DesignState {
  public:
-  /// Takes ownership of `base` (validated here).  When
-  /// `config.lp_warm_start` is set and `context` carries no LpCache
-  /// service, a memory-only cache is installed on the state's own copy of
-  /// the context; the caller's handle is unchanged.
+  /// Takes ownership of `base` (validated here).
   DesignState(net::OverlayInstance base, DesignerConfig config,
               util::ExecutionContext context);
 
@@ -102,9 +102,9 @@ class DesignState {
                      double fanout, int color, double edge_cost,
                      double edge_loss);
 
-  /// Removes the named reflector and its edges (a "node leave"); rebuilds
-  /// the instance, remapping indices.  Failed-edge records for its edges
-  /// are dropped.
+  /// Removes the named reflector and its edges (a "node leave": the next
+  /// redesign is a cold solve); rebuilds the instance, remapping indices.
+  /// Failed-edge records for its edges are dropped.
   void remove_reflector(const std::string& name);
 
   /// Escape hatch for callers outside the event protocol (e.g. the
@@ -115,8 +115,9 @@ class DesignState {
 
   // ---- redesign -----------------------------------------------------------
 
-  /// Runs the full designer pipeline on the current instance (warm where
-  /// the config and cache allow) and stores the result as last().
+  /// Runs the full designer pipeline on the current instance (warm from
+  /// last().lp_basis when the config asks) and stores the result as
+  /// last().
   const DesignResult& redesign();
 
   /// The result of the most recent redesign().  Must not be called before

@@ -16,6 +16,7 @@
 // standard practical use of Monte Carlo rounding.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "omn/core/color_rounding.hpp"
@@ -56,13 +57,12 @@ struct DesignerConfig {
   bool prune_unused = true;
   /// Include the paper's cutting plane (4) in the LP.
   bool cutting_plane = true;
-  /// Warm-start LP solves from the optimal basis of a previously solved
-  /// same-shaped instance (needs an LpCache service on the context).  Off
-  /// by default: a warm-started solve can land on a different optimal
+  /// Warm-start each redesign's LP from the optimal basis of the previous
+  /// one.  Read only by core::DesignState, which owns that basis and passes
+  /// it as lp_options.warm_start_basis; OverlayDesigner::design ignores it.
+  /// Off by default: a warm-started solve can land on a different optimal
   /// vertex, which breaks the bit-identity guarantees (serial vs parallel,
-  /// cache on/off) — opt in only when iteration speed matters more, and
-  /// only where one caller owns the basis over time (core::DesignState).
-  /// DesignSweep::add_config rejects configs with this set.
+  /// cache on/off).  DesignSweep::add_config rejects configs with this set.
   bool lp_warm_start = false;
   lp::SolveOptions lp_options;
   ColorRoundingOptions color_options;
@@ -117,9 +117,14 @@ struct DesignResult {
   /// rebuild + cache load).  Always false without a cache service.
   bool lp_cache_hit = false;
 
-  /// True when the LP solve started from a cached same-shape basis
-  /// (DesignerConfig::lp_warm_start and a shape-index hit).
+  /// True when the solver accepted lp_options.warm_start_basis (on a
+  /// cache hit: when the solve that made the entry did).
   bool lp_warm_start = false;
+
+  /// The optimal basis the LP solution exported (from a solve or a cache
+  /// hit), for the next warm start; set by design(), never by
+  /// design_from_lp().  Absent when the solution exported none.
+  std::optional<lp::Basis> lp_basis;
 
   bool ok() const { return status == DesignStatus::kOk; }
 };

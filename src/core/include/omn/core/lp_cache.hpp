@@ -52,17 +52,10 @@
 // Only v2 is read; v1 entries (without the refactorizations/warm_started/
 // basis block) are rejected like any stale file and re-solved.
 //
-// Basis warm-start (opt-in): optimal bases are also indexed in memory by a
-// structural "shape" digest (lp_shape_digest: everything that determines
-// the LP's dimensions and sparsity pattern, but none of the float data).
-// A solve for a near-miss instance — same shape, different costs — can
-// fetch that basis and start from it instead of from scratch.  This is
-// off by default at every call site because a warm-started solve may
-// return a *different optimal vertex* than a cold one, which would break
-// the bit-identity guarantees (serial vs parallel, cache on/off) the
-// rest of the stack advertises.  Only a basis with one owner over time
-// opts in: OverlayDesigner::design with DesignerConfig::lp_warm_start,
-// i.e. core::DesignState and `omn_design serve --warm-start`.  DesignSweep rejects warm configs.
+// The cache holds no warm-start state.  A warm-started solve passes its
+// basis in SolveOptions::warm_start_basis, which the key excludes, so its
+// result is stored under the same key a cold caller looks up.  The one
+// owner of a warm-start basis is core::DesignState (see design_state.hpp).
 
 #include <cstdint>
 #include <iosfwd>
@@ -87,7 +80,8 @@ struct LpCacheStats {
   std::size_t misses = 0;       ///< neither tier had a valid entry
   std::size_t insertions = 0;   ///< entries stored via insert()
   std::size_t rejected = 0;     ///< corrupt/mismatched disk entries refused
-  std::size_t warm_hits = 0;    ///< shape-index lookups that found a basis
+  /// No longer incremented; read only by perfbench/src/serve_workload.cpp.
+  std::size_t warm_hits = 0;
 };
 
 class LpCache {
@@ -121,16 +115,6 @@ class LpCache {
   /// temp-file + rename protocol keeps concurrent writers safe.
   void insert(const util::Digest128& key, const lp::Solution& solution);
 
-  /// Records `basis` as the latest optimal basis for LPs of `shape`
-  /// (lp_shape_digest).  Memory-only: shapes index far fewer, larger
-  /// objects than solves and a stale basis merely costs one rejected warm
-  /// start.  Thread-safe.
-  void note_basis(const util::Digest128& shape, const lp::Basis& basis);
-
-  /// The latest basis noted for `shape`, if any (counts as a warm hit in
-  /// stats()).  Thread-safe.
-  std::optional<lp::Basis> find_basis(const util::Digest128& shape);
-
   /// The cache directory, or empty for a memory-only cache.
   const std::string& directory() const { return directory_; }
 
@@ -161,23 +145,12 @@ class LpCache {
   mutable util::Mutex mutex_;
   std::unordered_map<util::Digest128, lp::Solution, util::Digest128Hash>
       memory_ OMN_GUARDED_BY(mutex_);
-  std::unordered_map<util::Digest128, lp::Basis, util::Digest128Hash>
-      bases_ OMN_GUARDED_BY(mutex_);
   LpCacheStats stats_ OMN_GUARDED_BY(mutex_);
 };
 
 /// Canonical digest of the LP-relevant instance content (see the header
 /// comment for what is covered and why names/delays are excluded).
 util::Digest128 lp_instance_digest(const net::OverlayInstance& instance);
-
-/// Structural digest of the LP an instance+build would produce: entity and
-/// edge counts, edge endpoints, commodity/colors, the capacity-presence
-/// pattern, and the build options — but none of the float data.  Two
-/// instances with equal shape digests yield LPs with identical dimensions,
-/// variable order, and sparsity pattern, so an optimal basis for one is a
-/// valid (if not optimal) starting basis for the other.
-util::Digest128 lp_shape_digest(const net::OverlayInstance& instance,
-                                const LpBuildOptions& build);
 
 /// An LP build + solve with optional caching: the model is always (re)built
 /// — the build is cheap and deterministic — and the solve is served from
@@ -191,17 +164,12 @@ struct CachedLp {
 
 /// `cache` may be nullptr (plain build + solve).  This is the single entry
 /// point both OverlayDesigner and DesignSweep use, so the key derivation
-/// can never diverge between layers (the sweep always passes
-/// warm_start = false).
-///
-/// With `warm_start` set (and a cache), a byte-cache miss consults the
-/// cache's shape index for a basis from a same-shaped instance and solves
-/// from it; the result is still inserted into the byte cache under the
-/// cold key.  See the warm-start caveat in the header comment — callers
-/// that advertise bit-identity must leave this off.
+/// can never diverge between layers.  A `solve.warm_start_basis` is not
+/// part of the key: a warm solve's result answers later cold lookups too
+/// (same objective; possibly a different optimal vertex).
 CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
                                  const LpBuildOptions& build,
                                  const lp::SolveOptions& solve,
-                                 LpCache* cache, bool warm_start = false);
+                                 LpCache* cache);
 
 }  // namespace omn::core

@@ -32,8 +32,9 @@ struct LpWork {
   std::size_t iterations = 0;
   std::size_t phase1_iterations = 0;
   std::size_t refactorizations = 0;
-  /// LPs whose solution came from a solve started from a cached
-  /// same-shape basis, cache hits replaying one included.
+  /// LPs whose solution came from a warm-started solve (the solver
+  /// accepted lp_options.warm_start_basis), cache hits replaying one
+  /// included.
   std::size_t warm_start_hits = 0;
 
   /// The accumulation rule for one LP obtained for a design.  A cache hit

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "omn/core/lp_cache.hpp"
-
 namespace omn::core {
 
 namespace {
@@ -19,13 +17,6 @@ DesignState::DesignState(net::OverlayInstance base, DesignerConfig config,
       config_(config),
       context_(std::move(context)) {
   instance_.validate();
-  // Warm starts live on the cache's shape index, so a warm config without
-  // a cache would silently degrade to cold solves forever.  Installing a
-  // memory-only cache here also gives fail+restore round trips a byte
-  // tier: returning to a previously solved instance costs zero pivots.
-  if (config_.lp_warm_start && context_.find_service<LpCache>() == nullptr) {
-    context_.set_service(std::make_shared<LpCache>());
-  }
 }
 
 int DesignState::find_source(const std::string& name) const {
@@ -207,7 +198,13 @@ void DesignState::apply(
 }
 
 const DesignResult& DesignState::redesign() {
-  last_ = OverlayDesigner(config_).design(instance_, context_);
+  // Warm redesigns start from the basis the previous one exported; with
+  // none (first redesign, or a solve that exported none) the solve is cold.
+  DesignerConfig config = config_;
+  if (config_.lp_warm_start) {
+    config.lp_options.warm_start_basis = last_.lp_basis;
+  }
+  last_ = OverlayDesigner(config).design(instance_, context_);
   has_design_ = true;
   return last_;
 }

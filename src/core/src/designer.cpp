@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "omn/core/lp_cache.hpp"
@@ -98,15 +99,15 @@ DesignResult OverlayDesigner::design(
   CachedLp solved;
   {
     OMN_TRACE_SPAN("designer.lp");
-    solved = solve_overlay_lp_cached(
-        inst, lp_build_options(config_), config_.lp_options, cache.get(),
-        config_.lp_warm_start);
+    solved = solve_overlay_lp_cached(inst, lp_build_options(config_),
+                                     config_.lp_options, cache.get());
   }
   const double lp_seconds = lp_timer.seconds();
 
   DesignResult result = design_from_lp(inst, solved.lp, solved.solution, context);
   result.lp_seconds = lp_seconds;
   result.lp_cache_hit = solved.cache_hit;
+  result.lp_basis = std::move(solved.solution.basis);
   return result;
 }
 

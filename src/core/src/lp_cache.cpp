@@ -103,41 +103,6 @@ util::Digest128 lp_instance_digest(const net::OverlayInstance& instance) {
   return h.digest();
 }
 
-util::Digest128 lp_shape_digest(const net::OverlayInstance& instance,
-                                const LpBuildOptions& build) {
-  util::Hasher h;
-  h.str("omn-lp-shape-v1");
-  h.i32(instance.num_sources());
-  h.i32(instance.num_reflectors());
-  h.i32(instance.num_sinks());
-  h.u64(instance.sr_edges().size());
-  h.u64(instance.rd_edges().size());
-  // Structure only: colors and commodities select which constraint rows
-  // exist, optional capacities decide whether their rows are emitted, and
-  // edge endpoints fix the sparsity pattern.  No costs, losses, bandwidths,
-  // thresholds, or capacity *values* — those move the optimum, not the
-  // shape, and near-miss warm starts are exactly the same-shape case.
-  for (int i = 0; i < instance.num_reflectors(); ++i) {
-    const net::Reflector& r = instance.reflector(i);
-    h.i32(r.color);
-    h.boolean(r.stream_capacity.has_value());
-  }
-  for (int j = 0; j < instance.num_sinks(); ++j) {
-    h.i32(instance.sink(j).commodity);
-  }
-  for (const net::SourceReflectorEdge& e : instance.sr_edges()) {
-    h.i32(e.source);
-    h.i32(e.reflector);
-  }
-  for (const net::ReflectorSinkEdge& e : instance.rd_edges()) {
-    h.i32(e.reflector);
-    h.i32(e.sink);
-    h.boolean(e.capacity.has_value());
-  }
-  hash_build_options(h, build);
-  return h.digest();
-}
-
 util::Digest128 LpCache::key(const net::OverlayInstance& instance,
                              const LpBuildOptions& build,
                              const lp::SolveOptions& solve) {
@@ -183,19 +148,6 @@ void LpCache::insert(const util::Digest128& key, const lp::Solution& solution) {
     ++stats_.insertions;
   }
   if (!directory_.empty()) store_to_disk(key, solution);
-}
-
-void LpCache::note_basis(const util::Digest128& shape, const lp::Basis& basis) {
-  const util::LockGuard lock(mutex_);
-  bases_[shape] = basis;
-}
-
-std::optional<lp::Basis> LpCache::find_basis(const util::Digest128& shape) {
-  const util::LockGuard lock(mutex_);
-  const auto it = bases_.find(shape);
-  if (it == bases_.end()) return std::nullopt;
-  ++stats_.warm_hits;
-  return it->second;
 }
 
 LpCacheStats LpCache::stats() const {
@@ -358,7 +310,7 @@ std::optional<lp::Solution> LpCache::read_entry(std::istream& is,
 CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
                                  const LpBuildOptions& build,
                                  const lp::SolveOptions& solve,
-                                 LpCache* cache, bool warm_start) {
+                                 LpCache* cache) {
   CachedLp out;
   {
     OMN_TRACE_SPAN("lp.build");
@@ -379,36 +331,17 @@ CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
         hit->x.size() == static_cast<std::size_t>(out.lp.model.num_variables())) {
       out.solution = std::move(*hit);
       out.cache_hit = true;
-      // A disk hit from another process may carry a basis this process has
-      // not yet indexed; feed it into the shape index so later near-miss
-      // solves can warm-start from it.
-      if (out.solution.status == lp::SolveStatus::kOptimal &&
-          out.solution.basis.has_value()) {
-        cache->note_basis(lp_shape_digest(instance, build),
-                          *out.solution.basis);
-      }
       return out;
-    }
-  }
-  lp::SolveOptions effective = solve;
-  if (warm_start) {
-    if (std::optional<lp::Basis> basis =
-            cache->find_basis(lp_shape_digest(instance, build))) {
-      effective.warm_start_basis = std::move(*basis);
     }
   }
   {
     OMN_TRACE_SPAN("lp.solve");
-    out.solution = lp::SimplexSolver().solve(out.lp.model, effective);
+    out.solution = lp::SimplexSolver().solve(out.lp.model, solve);
   }
   // Insert under the caller's key: warm_start_basis is excluded from the
   // key, and an optimal warm-started point answers cold callers too (same
-  // objective; possibly a different vertex — see the header caveat).
+  // objective; possibly a different vertex).
   cache->insert(key, out.solution);
-  if (out.solution.status == lp::SolveStatus::kOptimal &&
-      out.solution.basis.has_value()) {
-    cache->note_basis(lp_shape_digest(instance, build), *out.solution.basis);
-  }
   return out;
 }
 

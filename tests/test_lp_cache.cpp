@@ -430,90 +430,48 @@ TEST(LpCacheSweep, DiskCachePersistsAcrossSweepObjects) {
   EXPECT_EQ(second.cell(0, 0).result.design.x, first.cell(0, 0).result.design.x);
 }
 
-// ---- shape index / basis warm starts --------------------------------------
+// ---- warm starts through SolveOptions ------------------------------------
 
-TEST(LpShapeDigest, InvariantToCostsButNotStructure) {
-  omn::net::OverlayInstance a = small_instance();
-  omn::net::OverlayInstance b = small_instance();
-  const Digest128 base = omn::core::lp_shape_digest(a, {});
-  EXPECT_TRUE(base == omn::core::lp_shape_digest(b, {}));
-
-  // Float perturbations keep the shape (that's the warm-start premise)...
-  b.reflector(0).build_cost *= 1.5;
-  b.sink(0).threshold *= 0.99;
-  EXPECT_TRUE(base == omn::core::lp_shape_digest(b, {}));
-  // ...while the byte-cache key, which covers the values, moves.
-  EXPECT_FALSE(LpCache::key(a, {}, {}) == LpCache::key(b, {}, {}));
-
-  // Structural changes move the shape: a different topology draw and a
-  // different set of LP constraints.
-  EXPECT_FALSE(base == omn::core::lp_shape_digest(small_instance(6), {}));
-  LpBuildOptions no_cut;
-  no_cut.cutting_plane = false;
-  EXPECT_FALSE(base == omn::core::lp_shape_digest(a, no_cut));
-}
-
-TEST(LpCacheShapeIndex, NoteAndFindBasisRoundTripsAndCountsWarmHits) {
-  LpCache cache;
-  const Digest128 shape{1, 2};
-  EXPECT_FALSE(cache.find_basis(shape).has_value());
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
-
-  lp::Basis basis;
-  basis.state = {lp::VarStatus::kBasic, lp::VarStatus::kAtLower};
-  basis.basic = {0};
-  cache.note_basis(shape, basis);
-
-  const std::optional<lp::Basis> found = cache.find_basis(shape);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_TRUE(*found == basis);
-  EXPECT_EQ(cache.stats().warm_hits, 1u);
-  EXPECT_FALSE(cache.find_basis(Digest128{3, 4}).has_value());
-}
-
-TEST(LpCacheWarmStart, PerturbedInstanceWarmStartsFromShapeIndex) {
+TEST(LpCacheWarmStart, PerturbedInstanceWarmStartsFromPassedBasis) {
   LpCache cache;
   const omn::net::OverlayInstance first = small_instance();
   const omn::core::CachedLp cold =
-      omn::core::solve_overlay_lp_cached(first, {}, {}, &cache,
-                                         /*warm_start=*/true);
+      omn::core::solve_overlay_lp_cached(first, {}, {}, &cache);
   ASSERT_EQ(cold.solution.status, lp::SolveStatus::kOptimal);
-  EXPECT_FALSE(cold.solution.warm_started);  // nothing to warm-start from yet
+  ASSERT_TRUE(cold.solution.basis.has_value());
+  EXPECT_FALSE(cold.solution.warm_started);
 
   // Same shape, different costs: a different byte-cache key (so a real
-  // solve happens), served from the first solve's basis.
+  // solve happens), started from the first solve's basis.
   omn::net::OverlayInstance perturbed = small_instance();
   for (int i = 0; i < perturbed.num_reflectors(); ++i) {
     perturbed.reflector(i).build_cost *= 1.0 + 0.01 * (i + 1);
   }
+  lp::SolveOptions warm_options;
+  warm_options.warm_start_basis = cold.solution.basis;
   const omn::core::CachedLp warm =
-      omn::core::solve_overlay_lp_cached(perturbed, {}, {}, &cache,
-                                         /*warm_start=*/true);
+      omn::core::solve_overlay_lp_cached(perturbed, {}, warm_options, &cache);
   ASSERT_EQ(warm.solution.status, lp::SolveStatus::kOptimal);
   EXPECT_FALSE(warm.cache_hit);
   EXPECT_TRUE(warm.solution.warm_started);
   EXPECT_EQ(warm.solution.phase1_iterations, 0);
   EXPECT_LT(warm.solution.iterations, cold.solution.iterations);
-  EXPECT_GE(cache.stats().warm_hits, 1u);
+
+  // The basis is not part of the key: a later cold caller is served the
+  // warm solve's entry from the byte tier.
+  EXPECT_TRUE(LpCache::key(perturbed, {}, warm_options) ==
+              LpCache::key(perturbed, {}, {}));
+  const omn::core::CachedLp later =
+      omn::core::solve_overlay_lp_cached(perturbed, {}, {}, &cache);
+  EXPECT_TRUE(later.cache_hit);
+  EXPECT_EQ(later.solution.x, warm.solution.x);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
   // The warm answer must match a cold solve of the same instance.
   const omn::core::CachedLp verify =
       omn::core::solve_overlay_lp_cached(perturbed, {}, {}, nullptr);
   const double scale = 1.0 + std::abs(verify.solution.objective);
   EXPECT_NEAR(warm.solution.objective, verify.solution.objective, 1e-7 * scale);
-}
-
-TEST(LpCacheWarmStart, OffByDefaultEvenWithBasesIndexed) {
-  LpCache cache;
-  const omn::net::OverlayInstance first = small_instance();
-  (void)omn::core::solve_overlay_lp_cached(first, {}, {}, &cache);
-
-  omn::net::OverlayInstance perturbed = small_instance();
-  perturbed.reflector(0).build_cost *= 2.0;
-  const omn::core::CachedLp cold =
-      omn::core::solve_overlay_lp_cached(perturbed, {}, {}, &cache);
-  EXPECT_FALSE(cold.cache_hit);
-  EXPECT_FALSE(cold.solution.warm_started);  // bit-identity default holds
 }
 
 }  // namespace

@@ -464,6 +464,57 @@ TEST(DesignState, AdoptFailedEdgesValidates) {
                std::invalid_argument);
 }
 
+// A warm DesignState keeps its last optimal basis itself: on a bare serial
+// context a same-shaped capacity-set redesign starts from that basis, and
+// the state installs no LpCache service to do it.
+TEST(DesignState, WarmStartsWithoutACacheService) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  DesignState state(inst, warm_config(), omn::util::ExecutionContext::serial());
+  const DesignResult& initial = state.redesign();
+  ASSERT_TRUE(initial.ok());
+  EXPECT_FALSE(initial.lp_warm_start);  // nothing to start from yet
+  ASSERT_TRUE(initial.lp_basis.has_value());
+
+  state.set_fanout(inst.reflector(1).name, 2.0 * inst.reflector(1).fanout);
+  const DesignResult& after = state.redesign();
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after.lp_warm_start);
+  EXPECT_FALSE(after.lp_cache_hit);
+  EXPECT_EQ(after.lp_phase1_iterations, 0);
+  EXPECT_EQ(state.context().find_service<LpCache>(), nullptr);
+}
+
+// Two warm states share one LpCache over same-shaped instances with
+// different costs.  The second state's initial redesign is cold: a
+// redesign is offered only its own state's previous basis, so one state's
+// trajectory never depends on what another state solved.
+TEST(DesignState, WarmStatesSharingACacheDoNotShareBases) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
+  omn::net::OverlayInstance pricier = inst;
+  for (int i = 0; i < pricier.num_reflectors(); ++i) {
+    pricier.reflector(i).build_cost *= 1.0 + 0.01 * (i + 1);
+  }
+  const auto cache = std::make_shared<LpCache>();
+  omn::util::ExecutionContext context = omn::util::ExecutionContext::serial();
+  context.set_service(cache);
+
+  DesignState a(inst, warm_config(), context);
+  ASSERT_TRUE(a.redesign().ok());
+  DesignState b(pricier, warm_config(), context);
+  const DesignResult& first = b.redesign();
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first.lp_cache_hit);  // different costs, different key
+  EXPECT_FALSE(first.lp_warm_start);
+  EXPECT_EQ(cache->stats().misses, 2u);
+
+  const DesignResult cold = OverlayDesigner(base_config()).design(
+      pricier, omn::util::ExecutionContext::serial());
+  EXPECT_EQ(first.lp_iterations, cold.lp_iterations);
+  EXPECT_EQ(first.design.x, cold.design.x);
+}
+
 // ---------------------------------------------------------------------------
 // Differential churn replay
 
@@ -619,14 +670,13 @@ TEST(ServeSession, StatsLpWorkEqualsDesignStateReplay) {
     cfg.lp_warm_start = warm;
     ServeSession session(inst, journal_options(cfg, ""),
                          omn::util::ExecutionContext::serial());
-    // A warm DesignState consults the memory LpCache it installs.
     DesignState state(inst, cfg, omn::util::ExecutionContext::serial());
-    LpWork replayed = LpWork::of(state.redesign(), warm);
+    LpWork replayed = LpWork::of(state.redesign(), false);
     for (const Event& event : events) {
       const std::string ack = session.handle_line(event.to_line());
       ASSERT_EQ(ack.rfind("ok ", 0), 0u) << event.to_line() << " -> " << ack;
       omn::serve::apply_event(state, event);
-      replayed += LpWork::of(state.redesign(), warm);
+      replayed += LpWork::of(state.redesign(), false);
     }
     const omn::serve::ServeStats& stats = session.stats();
     EXPECT_EQ(stats.redesigns, events.size() + 1);
@@ -634,7 +684,7 @@ TEST(ServeSession, StatsLpWorkEqualsDesignStateReplay) {
     EXPECT_GT(stats.lp.iterations, 0u);
     EXPECT_EQ(stats.lp, replayed);
     if (warm) {
-      EXPECT_GT(stats.lp.warm_start_hits + stats.lp.cache_hits, 0u);
+      EXPECT_GT(stats.lp.warm_start_hits, 0u);
     }
   }
 }
@@ -647,9 +697,13 @@ TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
   DesignerConfig warm = base_config();
   warm.lp_warm_start = true;
+  const auto context_with_cache = [] {
+    omn::util::ExecutionContext context = omn::util::ExecutionContext::serial();
+    context.set_service(std::make_shared<LpCache>());
+    return context;
+  };
   {
-    ServeSession a(inst, journal_options(warm, ""),
-                   omn::util::ExecutionContext::serial());
+    ServeSession a(inst, journal_options(warm, ""), context_with_cache());
     omn::serve::ChurnConfig churn;
     churn.seed = 37;
     for (const Event& event :
@@ -659,21 +713,27 @@ TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
     EXPECT_GT(stat_of(a.handle_line("stats"), "cache_misses"), 1);
   }
   // B has run only its initial design: one miss in its own memory cache.
-  ServeSession b(inst, journal_options(warm, ""),
-                 omn::util::ExecutionContext::serial());
+  ServeSession b(inst, journal_options(warm, ""), context_with_cache());
   const std::string stats = b.handle_line("stats");
   EXPECT_EQ(stat_of(stats, "cache_misses"), 1) << stats;
   EXPECT_EQ(stat_of(stats, "cache_hits"), 0) << stats;
   EXPECT_EQ(stat_of(stats, "cache_disk_reads"), 0) << stats;
   EXPECT_EQ(stat_of(stats, "cache_disk_writes"), 0) << stats;
 
-  // A cold session has no cache, so every cache field is 0.
-  ServeSession cold(inst, journal_options(base_config(), ""),
-                    omn::util::ExecutionContext::serial());
-  const std::string cold_stats = cold.handle_line("stats");
-  for (const char* key : {"cache_hits", "cache_misses", "cache_disk_reads",
-                          "cache_disk_writes"}) {
-    EXPECT_EQ(stat_of(cold_stats, key), 0) << key << ": " << cold_stats;
+  // Sessions without a cache, cold or warm, report 0 in every cache field.
+  for (const DesignerConfig& cfg : {base_config(), warm}) {
+    ServeSession uncached(inst, journal_options(cfg, ""),
+                          omn::util::ExecutionContext::serial());
+    ASSERT_EQ(uncached.handle_line("capacity-set " + inst.reflector(0).name +
+                                   " 9")
+                  .rfind("ok ", 0),
+              0u);
+    const std::string uncached_stats = uncached.handle_line("stats");
+    for (const char* key : {"cache_hits", "cache_misses", "cache_disk_reads",
+                            "cache_disk_writes"}) {
+      EXPECT_EQ(stat_of(uncached_stats, key), 0) << key << ": "
+                                                 << uncached_stats;
+    }
   }
 }
 
@@ -709,18 +769,17 @@ TEST(ServeSession, StatsReadTheSessionsOwnDiskCache) {
   std::filesystem::remove_all(dir);
 }
 
-// A warm DesignState built on ExecutionContext::global() installs its
-// memory LpCache on its own copy of the context, so a later cold design
-// on the global context solves its own LP instead of being served from
-// that cache.
-TEST(DesignState, WarmCacheOnGlobalContextStaysInTheState) {
+// A warm DesignState built on ExecutionContext::global() installs no
+// service, neither on its own copy of the context nor on global(), so a
+// later cold design on the global context solves its own LP.
+TEST(DesignState, WarmStateOnGlobalContextInstallsNoService) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
   DesignerConfig warm;
   warm.lp_warm_start = true;
   DesignState state(inst, warm, omn::util::ExecutionContext::global());
   ASSERT_TRUE(state.redesign().ok());
-  ASSERT_NE(state.context().find_service<LpCache>(), nullptr);
+  EXPECT_EQ(state.context().find_service<LpCache>(), nullptr);
 
   DesignerConfig cold;  // default: several attempts on the global context
   ASSERT_GT(cold.rounding_attempts, 1);

@@ -1,15 +1,14 @@
-// Concurrency test for the warm-start plumbing serve relies on: several
-// threads, each driving its own core::DesignState, share ONE LpCache
-// service (byte tier + shape-keyed basis index, both added in the revised
-// simplex work).  The CI tsan leg runs this suite under ThreadSanitizer,
-// so a data race in LpCache::find/insert/note_basis/find_basis or in the
-// stats aggregation fails loudly here even if it never corrupts a result
-// in practice.
+// Concurrency test for the LP cache serve sessions may share: several
+// threads, each driving its own warm core::DesignState, share ONE LpCache
+// service (its byte tier).  The CI tsan leg runs this suite under
+// ThreadSanitizer, so a data race in LpCache::find/insert or in the stats
+// aggregation fails loudly here even if it never corrupts a result in
+// practice.  Warm-start bases are not shared: each state owns its own.
 //
 // The assertion at the end is about the *aggregate*: every redesign
-// either hit the byte cache, warm-started, or was one of the cold solves
-// that seeded the cache — and the cache's own counters are consistent
-// with the work the threads observed.
+// either hit the byte cache, warm-started from its state's own basis, or
+// was a cold solve — and the cache's own counters are consistent with the
+// work the threads observed.
 
 #include <atomic>
 #include <cstddef>
@@ -57,8 +56,8 @@ TEST(ServeConcurrency, SharedLpCacheAcrossStatesIsRaceFree) {
     redesigns.fetch_add(1, std::memory_order_relaxed);
     omn::serve::ChurnConfig churn;
     // Same stream on even threads, distinct on odd: identical re-solves
-    // exercise the byte tier across threads, distinct ones the shape
-    // index.
+    // exercise the byte tier across threads, distinct ones the misses and
+    // insertions.
     churn.seed = 100 + (thread_index % 2 == 0 ? 0 : thread_index);
     omn::serve::ChurnGenerator generator(inst, churn);
     for (int step = 0; step < kEventsPerThread; ++step) {
@@ -77,13 +76,11 @@ TEST(ServeConcurrency, SharedLpCacheAcrossStatesIsRaceFree) {
   EXPECT_GT(warm_or_cached.load(), 0u);
 
   // Counter consistency: every redesign consulted the cache exactly once
-  // (hit or miss), and every miss was inserted; warm hits came from the
-  // shape index.  A torn/raced update would break these identities.
+  // (hit or miss), and every miss was inserted.  A torn/raced update would
+  // break these identities.
   const omn::core::LpCacheStats stats = cache->stats();
   EXPECT_EQ(stats.hits + stats.misses, redesigns.load());
   EXPECT_EQ(stats.insertions, stats.misses);
-  EXPECT_GE(stats.warm_hits, 1u);
-  EXPECT_LE(stats.warm_hits, stats.misses);
 }
 
 }  // namespace

@@ -76,8 +76,8 @@
 // serve --warm-start re-solves each redesign from the session's previous
 // optimal basis (skipping phase I when it stays feasible), at the price
 // of possibly landing on a DIFFERENT optimal vertex than a cold solve;
-// the session installs a memory-only LpCache for that basis when no
-// --lp-cache is configured.
+// the session's DesignState keeps that basis itself, so no LP cache is
+// involved unless --lp-cache is given.
 
 #include <algorithm>
 #include <cstdio>
