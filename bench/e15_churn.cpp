@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   const std::size_t num_events = args.smoke ? 40 : 200;
 
   omn::util::Table table({"sinks", "variant", "events", "pivots", "phase1",
-                          "refacts", "warm hits", "cache hits", "p50 ms",
-                          "p99 ms", "wall s"});
+                          "refacts", "warm hits", "p50 ms", "p99 ms",
+                          "wall s"});
   bool gate_ok = true;
   for (const int sinks : sink_sizes) {
     const auto inst = omn::topo::make_akamai_like(
@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
           .cell(run->lp.phase1_iterations)
           .cell(run->lp.refactorizations)
           .cell(run->lp.warm_start_hits)
-          .cell(run->lp.cache_hits)
           .cell(1e3 * omn::util::percentile(seconds, 0.50), 3)
           .cell(1e3 * omn::util::percentile(seconds, 0.99), 3)
           .cell(std::accumulate(seconds.begin(), seconds.end(), 0.0), 2);
@@ -118,12 +117,12 @@ int main(int argc, char** argv) {
     // (a vacuous pass where warm never engaged would hide a regression in
     // the basis hand-off).
     if (warm.lp.iterations >= cold.lp.iterations ||
-        warm.lp.warm_start_hits + warm.lp.cache_hits == 0) {
+        warm.lp.warm_start_hits == 0) {
       std::fprintf(stderr,
                    "e15_churn: GATE FAILED at %d sinks: warm %zu pivots "
-                   "(%zu warm hits, %zu cache hits) vs cold %zu pivots\n",
+                   "(%zu warm hits) vs cold %zu pivots\n",
                    sinks, warm.lp.iterations, warm.lp.warm_start_hits,
-                   warm.lp.cache_hits, cold.lp.iterations);
+                   cold.lp.iterations);
       gate_ok = false;
     }
   }
