@@ -724,10 +724,9 @@ TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
   for (const DesignerConfig& cfg : {base_config(), warm}) {
     ServeSession uncached(inst, journal_options(cfg, ""),
                           omn::util::ExecutionContext::serial());
-    ASSERT_EQ(uncached.handle_line("capacity-set " + inst.reflector(0).name +
-                                   " 9")
-                  .rfind("ok ", 0),
-              0u);
+    const std::string ack =
+        uncached.handle_line("capacity-set " + inst.reflector(0).name + " 9");
+    ASSERT_EQ(ack.rfind("ok ", 0), 0u) << ack;
     const std::string uncached_stats = uncached.handle_line("stats");
     for (const char* key : {"cache_hits", "cache_misses", "cache_disk_reads",
                             "cache_disk_writes"}) {
