@@ -6,9 +6,10 @@
 // A DesignState owns a mutable OverlayInstance plus everything warm that
 // successive redesigns can reuse:
 //
-//  - the ExecutionContext (one shared pool across every redesign), used
-//    as given: the state installs no service on it.  An LpCache the
-//    caller installed serves identical re-solves as for any design;
+//  - the ExecutionContext (one shared pool across every redesign).  A
+//    cold state uses it as given: an LpCache the caller installed serves
+//    identical re-solves as for any design.  A warm state drops any
+//    LpCache from its copy, since the cache holds cold solves only;
 //  - the last DesignResult, for callers that report deltas.  It carries
 //    the basis its LP solution exported (DesignResult::lp_basis, from a
 //    solve or a cache hit), and the state is that basis's one owner: with
@@ -32,11 +33,11 @@
 // and the LP objective still match the cold solve.
 //
 // Threading: a DesignState is confined to one thread.  The redesign
-// itself fans out on the shared context, and an LpCache service is
+// itself fans out on the shared context, and a cold state's LpCache is
 // internally synchronized (other threads may share it concurrently), but
 // the mutators and redesign() must not race each other.  A warm redesign
-// is offered only the basis of this state's own previous redesign, never
-// a basis another state left in a shared cache.
+// is offered only the basis of this state's own previous redesign and
+// touches no cache, so it never depends on another state.
 
 #include <cstdint>
 #include <functional>

@@ -58,8 +58,9 @@ struct DesignerConfig {
   /// Include the paper's cutting plane (4) in the LP.
   bool cutting_plane = true;
   /// Warm-start each redesign's LP from the optimal basis of the previous
-  /// one.  Read only by core::DesignState, which owns that basis and passes
-  /// it as lp_options.warm_start_basis; OverlayDesigner::design ignores it.
+  /// one.  Read only by core::DesignState, which owns that basis, passes it
+  /// as lp_options.warm_start_basis and drops any LpCache from its context;
+  /// OverlayDesigner::design ignores it.
   /// Off by default: a warm-started solve can land on a different optimal
   /// vertex, which breaks the bit-identity guarantees (serial vs parallel,
   /// cache on/off).  DesignSweep::add_config rejects configs with this set.

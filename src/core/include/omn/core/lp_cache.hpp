@@ -23,20 +23,19 @@
 // deterministic, a cached point is bit-identical to a fresh solve —
 // designs produced with the cache on and off are byte-for-byte equal.
 //
-// Tiers:
-//  - in-memory: a mutex-guarded map, shared across threads and layers by
-//    installing the cache on a util::ExecutionContext
-//    (context.set_service(std::make_shared<LpCache>(...))); DesignSweep
-//    and OverlayDesigner consult the context's service automatically.
-//    The service lives on that handle and the copies made from it after
-//    the set, never on ExecutionContext::global().
-//  - on-disk (optional): one versioned binary file per entry in a cache
-//    directory, named by the key's hex digest.  Writes go to a unique
+// Storage, fixed at construction:
+//  - LpCache(): a mutex-guarded map that lives as long as the object.
+//  - LpCache(dir): one versioned binary file per entry in `dir`, named by
+//    the key's hex digest, and no copy in memory.  Writes go to a unique
 //    temp file followed by an atomic rename, so two processes (say, two
 //    omn_design runs given the same --lp-cache) can share one directory
-//    without readers ever seeing a partial entry.  Corrupt, truncated,
-//    or version-mismatched entries are rejected (and re-solved), never
+//    without readers ever seeing a partial entry.  Corrupt, truncated, or
+//    version-mismatched entries are rejected (and re-solved), never
 //    trusted.
+// Install the cache on a util::ExecutionContext
+// (context.set_service(std::make_shared<LpCache>(...))) and DesignSweep
+// and OverlayDesigner consult it automatically; the service lives on
+// that handle and its later copies, never on ExecutionContext::global().
 //
 // Entry format v2 (all fields little-endian; see docs/ARCHITECTURE.md):
 //
@@ -52,10 +51,10 @@
 // Only v2 is read; v1 entries (without the refactorizations/warm_started/
 // basis block) are rejected like any stale file and re-solved.
 //
-// The cache holds no warm-start state.  A warm-started solve passes its
-// basis in SolveOptions::warm_start_basis, which the key excludes, so its
-// result is stored under the same key a cold caller looks up.  The one
-// owner of a warm-start basis is core::DesignState (see design_state.hpp).
+// The cache memoizes cold solves only: a solve offered a
+// SolveOptions::warm_start_basis may stop at a different optimal vertex,
+// so solve_overlay_lp_cached neither reads nor writes the cache for it.
+// The one owner of a warm-start basis is core::DesignState.
 
 #include <cstdint>
 #include <iosfwd>
@@ -74,12 +73,11 @@ namespace omn::core {
 /// Cache traffic counters (monotonic since construction).  These are the
 /// only cache counts; `serve`'s `stats` line reports its own session's.
 struct LpCacheStats {
-  std::size_t hits = 0;         ///< memory_hits + disk_hits
-  std::size_t memory_hits = 0;  ///< served from the in-memory tier
-  std::size_t disk_hits = 0;    ///< loaded from the cache directory
-  std::size_t misses = 0;       ///< neither tier had a valid entry
-  std::size_t insertions = 0;   ///< entries stored via insert()
-  std::size_t rejected = 0;     ///< corrupt/mismatched disk entries refused
+  std::size_t hits = 0;        ///< finds served (memory or directory)
+  std::size_t disk_hits = 0;   ///< hits read from the cache directory
+  std::size_t misses = 0;      ///< finds with no valid entry
+  std::size_t insertions = 0;  ///< entries stored via insert()
+  std::size_t rejected = 0;    ///< corrupt/mismatched disk entries refused
   /// No longer incremented; read only by perfbench/src/serve_workload.cpp.
   std::size_t warm_hits = 0;
 };
@@ -92,8 +90,8 @@ class LpCache {
 
   /// Memory-only cache.
   LpCache() = default;
-  /// Memory + disk tiers.  Creates `directory` (and parents) if missing;
-  /// throws std::filesystem::filesystem_error when that fails.
+  /// Directory cache, no copy in memory.  Creates `directory` (and
+  /// parents) if missing; throws std::filesystem::filesystem_error.
   explicit LpCache(std::string directory);
 
   LpCache(const LpCache&) = delete;
@@ -106,13 +104,12 @@ class LpCache {
                              const LpBuildOptions& build,
                              const lp::SolveOptions& solve);
 
-  /// Looks the key up (memory tier first, then disk).  A disk hit is
-  /// promoted into the memory tier.  Thread-safe.
+  /// Looks the key up in the map, or in the directory.  Thread-safe.
   std::optional<lp::Solution> find(const util::Digest128& key);
 
-  /// Stores the solution under the key in every configured tier.  Disk
-  /// write failures are swallowed (the cache is advisory); the atomic
-  /// temp-file + rename protocol keeps concurrent writers safe.
+  /// Stores the solution in the map, or in the directory.  Disk write
+  /// failures are swallowed (the cache is advisory); the atomic temp-file
+  /// + rename protocol keeps concurrent writers safe.
   void insert(const util::Digest128& key, const lp::Solution& solution);
 
   /// The cache directory, or empty for a memory-only cache.
@@ -139,9 +136,9 @@ class LpCache {
 
   std::string directory_;  // empty = memory-only
 
-  // mutex_ covers the memory tier and the counters only; disk I/O happens
-  // outside the lock (the atomic temp+rename protocol makes that safe), so
-  // a slow filesystem never serializes concurrent memory-tier hits.
+  // mutex_ covers the map (empty with a directory) and the counters only;
+  // disk I/O happens outside the lock (the atomic temp+rename protocol
+  // makes that safe), so a slow filesystem never serializes other finds.
   mutable util::Mutex mutex_;
   std::unordered_map<util::Digest128, lp::Solution, util::Digest128Hash>
       memory_ OMN_GUARDED_BY(mutex_);
@@ -164,9 +161,8 @@ struct CachedLp {
 
 /// `cache` may be nullptr (plain build + solve).  This is the single entry
 /// point both OverlayDesigner and DesignSweep use, so the key derivation
-/// can never diverge between layers.  A `solve.warm_start_basis` is not
-/// part of the key: a warm solve's result answers later cold lookups too
-/// (same objective; possibly a different optimal vertex).
+/// can never diverge between layers.  A solve offered a
+/// `solve.warm_start_basis` neither reads nor writes the cache.
 CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
                                  const LpBuildOptions& build,
                                  const lp::SolveOptions& solve,

@@ -50,21 +50,17 @@ std::vector<double> solve_network_lp(const BoxNetwork& net,
   for (int node = 0; node < g.num_nodes(); ++node) {
     if (node == net.source || node == net.sink_t) continue;
     const int row = model.add_row(lp::RowSense::kEqual, 0.0);
-    bool any = false;
     for (int id : g.out_edges(node)) {
       if ((id & 1) == 0) {
         // Forward edge leaving `node`.
         model.add_coefficient(row, var_of_edge[static_cast<std::size_t>(id)],
                               -1.0);
-        any = true;
       } else {
         // Twin of a forward edge entering `node`.
         model.add_coefficient(
             row, var_of_edge[static_cast<std::size_t>(id - 1)], 1.0);
-        any = true;
       }
     }
-    (void)any;
   }
   // Entangled color rows: per (sink, color) over level-2->3 edges.
   std::map<std::pair<int, int>, int> color_row;

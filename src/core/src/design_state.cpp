@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "omn/core/lp_cache.hpp"
+
 namespace omn::core {
 
 namespace {
@@ -17,6 +19,8 @@ DesignState::DesignState(net::OverlayInstance base, DesignerConfig config,
       config_(config),
       context_(std::move(context)) {
   instance_.validate();
+  // The LP cache holds cold solves only; a warm state's copy has none.
+  if (config_.lp_warm_start) context_.set_service<LpCache>(nullptr);
 }
 
 int DesignState::find_source(const std::string& name) const {

@@ -92,9 +92,9 @@ DesignResult OverlayDesigner::design(
   // on its own.  (Subtracting one from the other mis-attributes and can
   // even go negative under clock jitter.)
   util::Timer lp_timer;
-  // The LP solve goes through the context's LpCache service when one is
-  // installed; the solver is deterministic, so a cached point yields a
-  // bit-identical design.  Without a cache this is a plain build + solve.
+  // A cold LP solve goes through the context's LpCache service when one
+  // is installed; the solver is deterministic, so a cached point yields a
+  // bit-identical design.  Otherwise this is a plain build + solve.
   const std::shared_ptr<LpCache> cache = context.find_service<LpCache>();
   CachedLp solved;
   {
@@ -172,7 +172,9 @@ DesignResult OverlayDesigner::design_from_lp(
       ColorRoundingOptions copt = config_.color_options;
       copt.seed = seed ^ 0xdeadbeefcafef00dull;
       copt.box_options = config_.box_options;
+      // The overlay LP's warm basis does not fit the network LP.
       copt.lp_options = config_.lp_options;
+      copt.lp_options.warm_start_basis.reset();
       const ColorRoundResult colored =
           color_constrained_round(inst, lp, rounded.x, copt);
       design.x = colored.x;

@@ -55,9 +55,8 @@ void hash_solve_options(util::Hasher& h, const lp::SolveOptions& o) {
   // return a different (equally optimal) point, so an entry written by an
   // older kernel must miss.  Bump on any such change.
   h.u32(kSolverKernelVersion);
-  // warm_start_basis is deliberately excluded: the starting basis changes
-  // where the solve starts, not which problem it solves, and the byte
-  // cache must serve one key to warm and cold callers alike.
+  // warm_start_basis is excluded: solves offered one bypass the cache
+  // (solve_overlay_lp_cached), so every key names a cold solve.
 }
 
 }  // namespace
@@ -122,32 +121,24 @@ LpCache::LpCache(std::string directory) : directory_(std::move(directory)) {
 
 std::optional<lp::Solution> LpCache::find(const util::Digest128& key) {
   OMN_TRACE_SPAN("cache.find");
-  {
-    const util::LockGuard lock(mutex_);
-    const auto it = memory_.find(key);
-    if (it != memory_.end()) {
-      ++stats_.hits;
-      ++stats_.memory_hits;
-      OMN_TRACE_INSTANT("cache.hit_memory");
-      return it->second;
-    }
-  }
-  if (directory_.empty()) {
-    const util::LockGuard lock(mutex_);
+  if (!directory_.empty()) return load_from_disk(key);
+  const util::LockGuard lock(mutex_);
+  const auto it = memory_.find(key);
+  if (it == memory_.end()) {
     ++stats_.misses;
     OMN_TRACE_INSTANT("cache.miss");
     return std::nullopt;
   }
-  return load_from_disk(key);
+  ++stats_.hits;
+  OMN_TRACE_INSTANT("cache.hit_memory");
+  return it->second;
 }
 
 void LpCache::insert(const util::Digest128& key, const lp::Solution& solution) {
-  {
-    const util::LockGuard lock(mutex_);
-    memory_[key] = solution;
-    ++stats_.insertions;
-  }
   if (!directory_.empty()) store_to_disk(key, solution);
+  const util::LockGuard lock(mutex_);
+  if (directory_.empty()) memory_[key] = solution;
+  ++stats_.insertions;
 }
 
 LpCacheStats LpCache::stats() const {
@@ -179,7 +170,6 @@ std::optional<lp::Solution> LpCache::load_from_disk(
     OMN_TRACE_INSTANT("cache.miss");
     return std::nullopt;
   }
-  memory_[key] = *entry;  // promote: later finds skip the disk
   ++stats_.hits;
   ++stats_.disk_hits;
   OMN_TRACE_INSTANT("cache.hit_disk");
@@ -316,7 +306,8 @@ CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
     OMN_TRACE_SPAN("lp.build");
     out.lp = build_overlay_lp(instance, build);
   }
-  if (cache == nullptr) {
+  // A warm solve may stop at another optimal vertex: it bypasses the cache.
+  if (cache == nullptr || solve.warm_start_basis.has_value()) {
     OMN_TRACE_SPAN("lp.solve");
     out.solution = lp::SimplexSolver().solve(out.lp.model, solve);
     return out;
@@ -338,9 +329,6 @@ CachedLp solve_overlay_lp_cached(const net::OverlayInstance& instance,
     OMN_TRACE_SPAN("lp.solve");
     out.solution = lp::SimplexSolver().solve(out.lp.model, solve);
   }
-  // Insert under the caller's key: warm_start_basis is excluded from the
-  // key, and an optimal warm-started point answers cold callers too (same
-  // objective; possibly a different vertex).
   cache->insert(key, out.solution);
   return out;
 }

@@ -31,16 +31,16 @@
 //   ok <seq> bye                         (quit; EOF behaves like quit)
 //   err parse: <why> | err apply: <why>  (the session keeps running)
 // The stats cache_* fields read the session's own LpCache (all 0 without
-// one): cache_disk_reads is its disk hits, cache_disk_writes its
-// insertions when it has a directory.
+// one, so in every warm session): cache_disk_reads is its disk hits,
+// cache_disk_writes its insertions when it has a directory.
 // run() additionally opens with `ok <seq> ready status=<s> cost=<c>
 // reflectors=<built> replayed=<k> digest=<hex32>` (the same design
 // fields a query would answer; <seq> = <k> after a resume) so a
 // supervisor can see a resumed session converge before sending anything.
 //
 // Threading: one session is confined to one thread (the redesigns fan
-// out on the session's ExecutionContext; a shared LpCache service may be
-// used concurrently by other threads).
+// out on the session's ExecutionContext; a cold session's shared LpCache
+// service may be used concurrently by other threads).
 
 #include <cstddef>
 #include <iosfwd>

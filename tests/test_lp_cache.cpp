@@ -22,8 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "omn/core/design_state.hpp"
 #include "omn/core/design_sweep.hpp"
 #include "omn/core/designer.hpp"
+#include "omn/serve/churn.hpp"
+#include "omn/serve/serve.hpp"
 #include "omn/topo/akamai.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/hash.hpp"
@@ -176,7 +179,7 @@ TEST(InstanceDigest, KeyIsPinned) {
             "3614355c2fa3f6d910bf4e31061074da");
 }
 
-// ---- memory tier ----------------------------------------------------------
+// ---- memory-only cache ----------------------------------------------------
 
 TEST(LpCacheMemory, MissThenHitReturnsBitIdenticalSolution) {
   const omn::net::OverlayInstance inst = small_instance();
@@ -197,7 +200,7 @@ TEST(LpCacheMemory, MissThenHitReturnsBitIdenticalSolution) {
 
   const omn::core::LpCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.memory_hits, 1u);
+  EXPECT_EQ(stats.disk_hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.insertions, 1u);
 }
@@ -243,8 +246,8 @@ TEST(LpCacheDisk, SharedDirectoryServesAColdProcess) {
       omn::core::solve_overlay_lp_cached(inst, {}, {}, &a);
   EXPECT_FALSE(cold.cache_hit);
 
-  // ... "process" B (a fresh cache over the same directory, i.e. an empty
-  // memory tier) hits on disk and gets the identical point.
+  // ... "process" B (a fresh cache over the same directory) hits on disk
+  // and gets the identical point.
   LpCache b(dir);
   const omn::core::CachedLp warm =
       omn::core::solve_overlay_lp_cached(inst, {}, {}, &b);
@@ -252,11 +255,30 @@ TEST(LpCacheDisk, SharedDirectoryServesAColdProcess) {
   EXPECT_EQ(warm.solution.x, cold.solution.x);
   EXPECT_EQ(b.stats().disk_hits, 1u);
 
-  // A disk hit is promoted to memory: the next find never touches disk.
-  const omn::core::CachedLp warm2 =
-      omn::core::solve_overlay_lp_cached(inst, {}, {}, &b);
-  EXPECT_TRUE(warm2.cache_hit);
-  EXPECT_EQ(b.stats().memory_hits, 1u);
+  // Every hit reads the directory: a second find is a disk hit too.
+  EXPECT_TRUE(omn::core::solve_overlay_lp_cached(inst, {}, {}, &b).cache_hit);
+  EXPECT_EQ(b.stats().disk_hits, 2u);
+}
+
+TEST(LpCacheDisk, DirectoryCacheKeepsNoMemoryCopy) {
+  // A directory cache holds its entries on disk only: once the file is
+  // gone, the object that wrote it misses too.
+  const omn::net::OverlayInstance inst = small_instance();
+  const std::string dir = fresh_cache_dir("nomemory");
+  const Digest128 key = LpCache::key(inst, {}, {});
+  LpCache cache(dir);
+  ASSERT_FALSE(
+      omn::core::solve_overlay_lp_cached(inst, {}, {}, &cache).cache_hit);
+  ASSERT_TRUE(cache.find(key).has_value());
+
+  ASSERT_TRUE(fs::remove(fs::path(dir) / (key.hex() + ".lpsol")));
+  EXPECT_FALSE(cache.find(key).has_value());
+  const omn::core::LpCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(LpCacheDisk, NoStrayTempFilesAfterInsert) {
@@ -367,6 +389,34 @@ TEST(LpCacheDesigner, DesignsBitIdenticalCacheOnVsOff) {
 
   expect_designs_bit_identical(uncached, cold);
   expect_designs_bit_identical(uncached, warm);
+
+  // A warm session on a context carrying a directory cache leaves the
+  // cache untouched, so cold designs through it still equal the
+  // cache-off designs, on the base instance and on the session's last.
+  const auto disk = std::make_shared<LpCache>(fresh_cache_dir("designer"));
+  omn::util::ExecutionContext disk_ctx(2);
+  disk_ctx.set_service(disk);
+  DesignerConfig warm_cfg = cfg;
+  warm_cfg.lp_warm_start = true;
+  omn::core::DesignState state(inst, warm_cfg, disk_ctx);
+  ASSERT_TRUE(state.redesign().ok());
+  omn::serve::ChurnConfig churn;
+  churn.seed = 23;
+  for (const omn::serve::Event& event :
+       omn::serve::ChurnGenerator(inst, churn).take(20)) {
+    omn::serve::apply_event(state, event);
+    ASSERT_TRUE(state.redesign().ok());
+  }
+  EXPECT_EQ(disk->stats().insertions, 0u);
+  EXPECT_EQ(disk->stats().misses, 0u);
+  for (const omn::net::OverlayInstance& target : {inst, state.instance()}) {
+    const DesignResult off = OverlayDesigner(cfg).design(target, plain);
+    const DesignResult on = OverlayDesigner(cfg).design(target, disk_ctx);
+    const DesignResult hit = OverlayDesigner(cfg).design(target, disk_ctx);
+    EXPECT_TRUE(hit.lp_cache_hit);
+    expect_designs_bit_identical(off, on);
+    expect_designs_bit_identical(off, hit);
+  }
 }
 
 TEST(LpCacheSweep, RepeatedSweepPerformsZeroSolvesOnWarmRun) {
@@ -419,7 +469,7 @@ TEST(LpCacheSweep, DiskCachePersistsAcrossSweepObjects) {
     cfg.rounding_attempts = 1;
     sweep.add_config("only", cfg);
     omn::util::ExecutionContext context(1);
-    context.set_service(std::make_shared<LpCache>(dir));  // cold memory tier
+    context.set_service(std::make_shared<LpCache>(dir));  // a new object
     return sweep.run({}, context);
   };
   const SweepReport first = run_once();
@@ -457,19 +507,29 @@ TEST(LpCacheWarmStart, PerturbedInstanceWarmStartsFromPassedBasis) {
   EXPECT_EQ(warm.solution.phase1_iterations, 0);
   EXPECT_LT(warm.solution.iterations, cold.solution.iterations);
 
-  // The basis is not part of the key: a later cold caller is served the
-  // warm solve's entry from the byte tier.
-  EXPECT_TRUE(LpCache::key(perturbed, {}, warm_options) ==
-              LpCache::key(perturbed, {}, {}));
+  // Nor does a warm solve read the cache: `first`'s cold entry is there,
+  // but a solve offered a basis runs the simplex.
+  const omn::core::CachedLp rewarm =
+      omn::core::solve_overlay_lp_cached(first, {}, warm_options, &cache);
+  EXPECT_FALSE(rewarm.cache_hit);
+  EXPECT_TRUE(rewarm.solution.warm_started);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+
+  // The warm solves bypassed the cache, so a later cold caller misses and
+  // gets the cold solve, bit for bit.
   const omn::core::CachedLp later =
       omn::core::solve_overlay_lp_cached(perturbed, {}, {}, &cache);
-  EXPECT_TRUE(later.cache_hit);
-  EXPECT_EQ(later.solution.x, warm.solution.x);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // The warm answer must match a cold solve of the same instance.
+  EXPECT_FALSE(later.cache_hit);
+  EXPECT_FALSE(later.solution.warm_started);
   const omn::core::CachedLp verify =
       omn::core::solve_overlay_lp_cached(perturbed, {}, {}, nullptr);
+  EXPECT_EQ(later.solution.x, verify.solution.x);
+  EXPECT_EQ(later.solution.objective, verify.solution.objective);
+  const omn::core::LpCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+
+  // The warm answer has the cold solve's objective, within tolerance.
   const double scale = 1.0 + std::abs(verify.solution.objective);
   EXPECT_NEAR(warm.solution.objective, verify.solution.objective, 1e-7 * scale);
 }

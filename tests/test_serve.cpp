@@ -485,10 +485,11 @@ TEST(DesignState, WarmStartsWithoutACacheService) {
   EXPECT_EQ(state.context().find_service<LpCache>(), nullptr);
 }
 
-// Two warm states share one LpCache over same-shaped instances with
-// different costs.  The second state's initial redesign is cold: a
-// redesign is offered only its own state's previous basis, so one state's
-// trajectory never depends on what another state solved.
+// Two warm states are built on one context carrying an LpCache, over
+// same-shaped instances with different costs.  Each drops the cache from
+// its own copy of the context, so the cache sees no traffic and the
+// second state's initial redesign is the cold solve of its own instance:
+// one state's trajectory never depends on what another state solved.
 TEST(DesignState, WarmStatesSharingACacheDoNotShareBases) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
@@ -505,9 +506,13 @@ TEST(DesignState, WarmStatesSharingACacheDoNotShareBases) {
   DesignState b(pricier, warm_config(), context);
   const DesignResult& first = b.redesign();
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.lp_cache_hit);  // different costs, different key
+  EXPECT_FALSE(first.lp_cache_hit);
   EXPECT_FALSE(first.lp_warm_start);
-  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(a.context().find_service<LpCache>(), nullptr);
+  EXPECT_EQ(b.context().find_service<LpCache>(), nullptr);
+  EXPECT_EQ(context.find_service<LpCache>(), cache);  // the caller's handle
+  const omn::core::LpCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
 
   const DesignResult cold = OverlayDesigner(base_config()).design(
       pricier, omn::util::ExecutionContext::serial());
@@ -691,7 +696,8 @@ TEST(ServeSession, StatsLpWorkEqualsDesignStateReplay) {
 
 // The cache_* fields of `stats` count this session's own LpCache, never
 // another session's traffic in the same process (the paper's design
-// algorithm is rerun many times per process).
+// algorithm is rerun many times per process).  A warm session uses no
+// cache, so it reports 0 even when its context carried one.
 TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
   const auto inst =
       omn::topo::make_akamai_like(omn::topo::global_event_config(8, 4));
@@ -703,7 +709,8 @@ TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
     return context;
   };
   {
-    ServeSession a(inst, journal_options(warm, ""), context_with_cache());
+    ServeSession a(inst, journal_options(base_config(), ""),
+                   context_with_cache());
     omn::serve::ChurnConfig churn;
     churn.seed = 37;
     for (const Event& event :
@@ -713,20 +720,26 @@ TEST(ServeSession, StatsCountOnlyThisSessionsCacheTraffic) {
     EXPECT_GT(stat_of(a.handle_line("stats"), "cache_misses"), 1);
   }
   // B has run only its initial design: one miss in its own memory cache.
-  ServeSession b(inst, journal_options(warm, ""), context_with_cache());
+  ServeSession b(inst, journal_options(base_config(), ""),
+                 context_with_cache());
   const std::string stats = b.handle_line("stats");
   EXPECT_EQ(stat_of(stats, "cache_misses"), 1) << stats;
   EXPECT_EQ(stat_of(stats, "cache_hits"), 0) << stats;
   EXPECT_EQ(stat_of(stats, "cache_disk_reads"), 0) << stats;
   EXPECT_EQ(stat_of(stats, "cache_disk_writes"), 0) << stats;
 
-  // Sessions without a cache, cold or warm, report 0 in every cache field.
-  for (const DesignerConfig& cfg : {base_config(), warm}) {
+  // Sessions without a cache, cold or warm, and a warm session whose
+  // context carried one, report 0 in every cache field.
+  for (const auto& [cfg, cached] : {std::pair{base_config(), false},
+                                    std::pair{warm, false},
+                                    std::pair{warm, true}}) {
     ServeSession uncached(inst, journal_options(cfg, ""),
-                          omn::util::ExecutionContext::serial());
+                          cached ? context_with_cache()
+                                 : omn::util::ExecutionContext::serial());
     const std::string ack =
         uncached.handle_line("capacity-set " + inst.reflector(0).name + " 9");
     ASSERT_EQ(ack.rfind("ok ", 0), 0u) << ack;
+    EXPECT_EQ(uncached.stats().lp.cache_misses, 0u);
     const std::string uncached_stats = uncached.handle_line("stats");
     for (const char* key : {"cache_hits", "cache_misses", "cache_disk_reads",
                             "cache_disk_writes"}) {

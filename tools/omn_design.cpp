@@ -10,7 +10,7 @@
 //             [--metrics out.json]
 //   serve     --instance inst.txt [--journal F] [--seed S] [--c C]
 //             [--colors] [--bandwidth] [--attempts A] [--threads T]
-//             [--warm-start] [--lp-cache DIR] [--metrics F]
+//             [--warm-start | --lp-cache DIR] [--metrics F]
 //   run       script.omn          (command file: one subcommand per line)
 //   evaluate  --instance inst.txt --design design.txt
 //   simulate  --instance inst.txt --design design.txt [--packets P]
@@ -76,8 +76,8 @@
 // serve --warm-start re-solves each redesign from the session's previous
 // optimal basis (skipping phase I when it stays feasible), at the price
 // of possibly landing on a DIFFERENT optimal vertex than a cold solve;
-// the session's DesignState keeps that basis itself, so no LP cache is
-// involved unless --lp-cache is given.
+// the session's DesignState keeps that basis itself.  The LP cache holds
+// cold solves only, so --warm-start with --lp-cache is a usage error.
 
 #include <algorithm>
 #include <cstdio>
@@ -263,8 +263,8 @@ int usage() {
       "            [--attempts A] [--threads T] [--lp-cache DIR] [--out F]\n"
       "            [--metrics F]\n"
       "  serve     --instance F [--journal F] [--seed S] [--c C] [--colors]\n"
-      "            [--bandwidth] [--attempts A] [--threads T] [--warm-start]\n"
-      "            [--lp-cache DIR] [--metrics F]  (event protocol on stdin)\n"
+      "            [--bandwidth] [--attempts A] [--threads T] [--metrics F]\n"
+      "            [--warm-start | --lp-cache DIR]  (event protocol on stdin)\n"
       "  sweep     --instance F [--c C1,C2,...] [--seeds K] [--attempts A]\n"
       "            [--threads T] [--lp-cache DIR] [--metrics F]\n"
       "  run       script.omn    (one subcommand per line; # comments)\n"
@@ -375,6 +375,11 @@ int cmd_design(const Args& args) {
 int cmd_serve(const Args& args) {
   omn::core::DesignerConfig cfg = designer_config(args);
   cfg.lp_warm_start = args.has("warm-start");
+  if (cfg.lp_warm_start && !lp_cache_dir(args).empty()) {
+    throw UsageError(
+        "--warm-start and --lp-cache exclude each other (the LP cache "
+        "memoizes cold solves only)");
+  }
 
   omn::serve::ServeOptions options;
   options.config = cfg;
