@@ -13,10 +13,11 @@
 //                   1 = serial (use two runs to measure the speedup)
 //   --smoke         shrink the grid to a tiny configuration; used by the CI
 //                   bench smoke job (ctest -C Bench -L bench)
-//   --lp-cache DIR  install a core::LpCache over DIR on the global
-//                   execution context: a re-run of the same bench serves
-//                   every LP solve from the cache (the summary line shows
-//                   the hit/miss traffic)
+//   --lp-cache DIR  install a core::LpCache over DIR on the context the
+//                   sweep runs on (run_sweep's copy of
+//                   DesignSweep::default_context): a re-run of the same
+//                   bench serves every LP solve from the cache (the
+//                   summary line shows the hit/miss traffic)
 //   --metrics FILE  write the run's counters as JSON (schema
 //                   "omn-metrics-v1", see docs/EXPERIMENTS.md): grid
 //                   size, LP solves, cache traffic, saved-by-reuse,

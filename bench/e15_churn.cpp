@@ -11,9 +11,9 @@
 //   cold: lp_warm_start off — every event pays a full simplex solve, the
 //         cost `omn_design design` would pay per rerun;
 //   warm: lp_warm_start on — the session's DesignState starts each
-//         re-solve from the previous redesign's optimal basis; there is
-//         no LP cache, so same-shaped events (edge fail/restore, fanout
-//         changes) warm-start and node joins/leaves solve cold.
+//         re-solve from the previous redesign's optimal basis, remapped
+//         by column and row key across node joins/leaves; there is no
+//         LP cache.
 //
 // The point of the experiment is the pivot ledger: warm incremental
 // redesign must do strictly less simplex work per event than cold — the
@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   omn::bench::print_table(
       table, "E15: incremental redesign under churn (cold vs warm)",
       "Expected: the warm variant performs strictly fewer simplex pivots\n"
-      "than cold on every size — same-shaped re-solves warm-start from\n"
-      "the previous optimal basis.");
+      "than cold on every size — every re-solve warm-starts from the\n"
+      "previous optimal basis.");
   if (!gate_ok) return 1;
   std::printf("e15_churn: warm < cold pivots on every size — gate PASSED\n");
   return 0;

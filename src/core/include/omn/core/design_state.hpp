@@ -15,9 +15,12 @@
 //    solve or a cache hit), and the state is that basis's one owner: with
 //    DesignerConfig::lp_warm_start the next redesign passes it as
 //    lp_options.warm_start_basis.  Same-shaped events (edge fail/restore,
-//    fanout changes) can start from it; a node add/remove changes the
-//    LP's dimensions, so the solver rejects it and solves cold, as it
-//    does for a singular or primal-infeasible basis.
+//    fanout changes) offer it as is.  A node add/remove changes the LP's
+//    dimensions, so the redesign first carries the basis over to the new
+//    LP by column and row key (lp::remap_basis over the entity-name keys
+//    build_overlay_lp assigns).  The solver completes a singular basis
+//    with slacks and repairs a primal-infeasible one in place, so every
+//    warm redesign starts from the previous optimal basis.
 //
 // Mutators map one-to-one onto the serve event protocol
 // (omn/serve/event.hpp): fail/restore edges by endpoint *names*, adjust a
@@ -41,10 +44,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "omn/core/designer.hpp"
+#include "omn/lp/simplex.hpp"
 #include "omn/net/instance.hpp"
 #include "omn/util/execution_context.hpp"
 #include "omn/util/hash.hpp"
@@ -97,21 +102,24 @@ class DesignState {
   void set_fanout(const std::string& reflector, double fanout);
 
   /// Adds a reflector wired to every source and every sink with the given
-  /// uniform edge cost/loss (a "node join": the LP shape changes, so the
-  /// next redesign is a cold solve).
+  /// uniform edge cost/loss (a "node join": the LP gains the reflector's
+  /// columns and rows, and a warm next redesign remaps the basis onto it).
   void add_reflector(const std::string& name, double build_cost,
                      double fanout, int color, double edge_cost,
                      double edge_loss);
 
-  /// Removes the named reflector and its edges (a "node leave": the next
-  /// redesign is a cold solve); rebuilds the instance, remapping indices.
-  /// Failed-edge records for its edges are dropped.
+  /// Removes the named reflector and its edges (a "node leave": a warm
+  /// next redesign remaps the basis onto the smaller LP); rebuilds the
+  /// instance, remapping indices.  Failed-edge records for its edges are
+  /// dropped.
   void remove_reflector(const std::string& name);
 
   /// Escape hatch for callers outside the event protocol (e.g. the
   /// adaptive-redesign example's loss drift): mutates the instance
   /// in-place, then re-validates.  The caller must not rename or remove
-  /// entities that the failed-edge registry references.
+  /// entities that the failed-edge registry references.  The basis is not
+  /// remapped here: after a mutation that reshapes the LP, the next warm
+  /// redesign's basis no longer fits and that solve runs cold.
   void apply(const std::function<void(net::OverlayInstance&)>& mutate);
 
   // ---- redesign -----------------------------------------------------------
@@ -158,6 +166,12 @@ class DesignState {
   /// with a protocol-grade message when either endpoint or the edge is
   /// missing.
   int resolve_edge(bool rd, const std::string& a, const std::string& b) const;
+  /// The column and row keys of the current instance's LP.
+  lp::BasisKeys lp_keys() const;
+  /// Called by node events before they change the LP's shape: records the
+  /// keys of the LP the held basis belongs to (once per redesign), so the
+  /// next redesign can remap the basis onto the new LP.
+  void note_shape_change();
 
   net::OverlayInstance instance_;
   DesignerConfig config_;
@@ -165,6 +179,9 @@ class DesignState {
   std::vector<FailedEdge> failed_;
   DesignResult last_;
   bool has_design_ = false;
+  /// Keys of the LP last_.lp_basis belongs to, set by note_shape_change()
+  /// and cleared by redesign().
+  std::optional<lp::BasisKeys> basis_keys_;
 };
 
 }  // namespace omn::core

@@ -16,6 +16,13 @@
 // reflector edge.  Weights are clamped to w <= W (paper: "it never helps
 // to have more weight on an edge than the one that a sink demands").
 // [B^k] denotes the bandwidth coefficient under extension 6.1 (1 otherwise).
+//
+// Every column and row is named by a key built from entity names, not
+// indices: z|refl, y|src|refl, x|refl|sink for the variables and
+// yz|src|refl, xy|refl|sink, fanout|refl, cut|src|refl, demand|sink,
+// ycap|refl, color|sink|color for the rows.  A key names the same column
+// or row across node add/remove, which is what lets core::DesignState carry
+// a warm-start basis across them (lp::remap_basis).
 
 #include <cstdint>
 #include <vector>

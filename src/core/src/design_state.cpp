@@ -140,6 +140,7 @@ void DesignState::add_reflector(const std::string& name, double build_cost,
   if (!(edge_loss >= 0.0 && edge_loss < 1.0)) {
     throw std::invalid_argument("edge loss must lie in [0, 1)");
   }
+  note_shape_change();
   const int i = instance_.add_reflector(
       net::Reflector{name, build_cost, fanout, color, std::nullopt});
   for (int k = 0; k < instance_.num_sources(); ++k) {
@@ -191,8 +192,20 @@ void DesignState::remove_reflector(const std::string& name) {
     const std::string& reflector = record.rd ? record.a : record.b;
     if (reflector != name) kept.push_back(record);
   }
+  note_shape_change();
   instance_ = std::move(next);
   failed_ = std::move(kept);
+}
+
+lp::BasisKeys DesignState::lp_keys() const {
+  return lp::BasisKeys::of(
+      build_overlay_lp(instance_, lp_build_options(config_)).model);
+}
+
+void DesignState::note_shape_change() {
+  if (config_.lp_warm_start && last_.lp_basis && !basis_keys_) {
+    basis_keys_ = lp_keys();
+  }
 }
 
 void DesignState::apply(
@@ -204,10 +217,22 @@ void DesignState::apply(
 const DesignResult& DesignState::redesign() {
   // Warm redesigns start from the basis the previous one exported; with
   // none (first redesign, or a solve that exported none) the solve is cold.
+  // After a node event the basis is carried over to the new LP by key.
   DesignerConfig config = config_;
   if (config_.lp_warm_start) {
-    config.lp_options.warm_start_basis = last_.lp_basis;
+    std::optional<lp::Basis> basis = last_.lp_basis;
+    if (basis && basis_keys_) {
+      // An apply() between the redesign and the node event may have
+      // reshaped the LP already; the solver then gets the basis as is.
+      const lp::BasisKeys& from = *basis_keys_;
+      if (basis->state.size() == from.columns.size() + from.rows.size() &&
+          basis->basic.size() == from.rows.size()) {
+        basis = lp::remap_basis(*basis, from, lp_keys());
+      }
+    }
+    config.lp_options.warm_start_basis = std::move(basis);
   }
+  basis_keys_.reset();
   last_ = OverlayDesigner(config).design(instance_, context_);
   has_design_ = true;
   return last_;

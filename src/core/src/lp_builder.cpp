@@ -2,8 +2,25 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 namespace omn::core {
+
+namespace {
+
+/// A column or row key: its kind and the names of the entities it joins,
+/// '|'-separated.  Names, unlike indices, survive node add/remove, so
+/// lp::remap_basis can carry a basis across them.
+std::string key(std::string_view kind, std::string_view a,
+                std::string_view b = {}) {
+  std::string out;
+  out.reserve(kind.size() + a.size() + b.size() + 2);
+  out.append(kind).append("|").append(a);
+  if (!b.empty()) out.append("|").append(b);
+  return out;
+}
+
+}  // namespace
 
 OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
                            const LpBuildOptions& options) {
@@ -20,15 +37,15 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
   out.z_var.assign(static_cast<std::size_t>(R), -1);
   for (int i = 0; i < R; ++i) {
     out.z_var[static_cast<std::size_t>(i)] = m.add_variable(
-        0.0, 1.0, inst.reflector(i).build_cost, "z" + std::to_string(i));
+        0.0, 1.0, inst.reflector(i).build_cost, key("z", inst.reflector(i).name));
   }
 
   out.y_var.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(R), -1);
   for (const net::SourceReflectorEdge& e : inst.sr_edges()) {
     out.y_var[y_index(inst, e.source, e.reflector)] =
         m.add_variable(0.0, 1.0, e.cost,
-                       "y" + std::to_string(e.source) + "_" +
-                           std::to_string(e.reflector));
+                       key("y", inst.source(e.source).name,
+                           inst.reflector(e.reflector).name));
   }
 
   out.x_var.assign(inst.rd_edges().size(), -1);
@@ -45,8 +62,8 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
     const double upper =
         options.rd_capacities && e.capacity ? std::min(1.0, *e.capacity) : 1.0;
     out.x_var[id] = m.add_variable(0.0, upper, e.cost,
-                                   "x" + std::to_string(e.reflector) + "_" +
-                                       std::to_string(e.sink));
+                                   key("x", inst.reflector(e.reflector).name,
+                                       inst.sink(e.sink).name));
     const double w =
         net::OverlayInstance::path_weight(inst.sr_edge(sr).loss, e.loss);
     out.x_weight[id] =
@@ -57,8 +74,8 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
   for (const net::SourceReflectorEdge& e : inst.sr_edges()) {
     const int yv = out.y_var[y_index(inst, e.source, e.reflector)];
     const int row = m.add_row(lp::RowSense::kLessEqual, 0.0,
-                              "link_yz_" + std::to_string(e.source) + "_" +
-                                  std::to_string(e.reflector));
+                              key("yz", inst.source(e.source).name,
+                                  inst.reflector(e.reflector).name));
     m.add_coefficient(row, yv, 1.0);
     m.add_coefficient(row, out.z_var[static_cast<std::size_t>(e.reflector)], -1.0);
   }
@@ -71,7 +88,8 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
     const int k = inst.sink(e.sink).commodity;
     const int yv = out.y_var[y_index(inst, k, e.reflector)];
     const int row = m.add_row(lp::RowSense::kLessEqual, 0.0,
-                              "link_xy_" + std::to_string(id));
+                              key("xy", inst.reflector(e.reflector).name,
+                                  inst.sink(e.sink).name));
     m.add_coefficient(row, xv, 1.0);
     m.add_coefficient(row, yv, -1.0);
   }
@@ -80,7 +98,7 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
   std::vector<int> fanout_row(static_cast<std::size_t>(R), -1);
   for (int i = 0; i < R; ++i) {
     fanout_row[static_cast<std::size_t>(i)] = m.add_row(
-        lp::RowSense::kLessEqual, 0.0, "fanout_" + std::to_string(i));
+        lp::RowSense::kLessEqual, 0.0, key("fanout", inst.reflector(i).name));
     m.add_coefficient(fanout_row[static_cast<std::size_t>(i)],
                       out.z_var[static_cast<std::size_t>(i)],
                       -inst.reflector(i).fanout);
@@ -91,8 +109,8 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
     for (const net::SourceReflectorEdge& e : inst.sr_edges()) {
       const std::size_t slot = y_index(inst, e.source, e.reflector);
       cut_row[slot] = m.add_row(lp::RowSense::kLessEqual, 0.0,
-                                "cut_" + std::to_string(e.source) + "_" +
-                                    std::to_string(e.reflector));
+                                key("cut", inst.source(e.source).name,
+                                    inst.reflector(e.reflector).name));
       m.add_coefficient(cut_row[slot], out.y_var[slot],
                         -inst.reflector(e.reflector).fanout);
     }
@@ -116,7 +134,7 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
     const int row =
         m.add_row(lp::RowSense::kGreaterEqual,
                   out.sink_demand[static_cast<std::size_t>(j)],
-                  "demand_" + std::to_string(j));
+                  key("demand", inst.sink(j).name));
     bool any = false;
     for (int id : inst.sink_in(j)) {
       const int xv = out.x_var[static_cast<std::size_t>(id)];
@@ -137,7 +155,7 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
       if (!inst.reflector(i).stream_capacity) continue;
       cap_row[static_cast<std::size_t>(i)] =
           m.add_row(lp::RowSense::kLessEqual, *inst.reflector(i).stream_capacity,
-                    "ycap_" + std::to_string(i));
+                    key("ycap", inst.reflector(i).name));
     }
     for (const net::SourceReflectorEdge& e : inst.sr_edges()) {
       const int row = cap_row[static_cast<std::size_t>(e.reflector)];
@@ -162,8 +180,8 @@ OverlayLp build_overlay_lp(const net::OverlayInstance& inst,
         int& row = row_of_color[static_cast<std::size_t>(color)];
         if (row < 0) {
           row = m.add_row(lp::RowSense::kLessEqual, 1.0,
-                          "color_" + std::to_string(j) + "_" +
-                              std::to_string(color));
+                          key("color", inst.sink(j).name,
+                              std::to_string(color)));
         }
         m.add_coefficient(row, xv, 1.0);
       }

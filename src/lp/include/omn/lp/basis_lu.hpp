@@ -81,12 +81,27 @@ struct SparseVector {
   }
 };
 
+/// A basis slot whose column factorize() replaced to complete a singular
+/// basis: the unit column of raw row `row` now stands in slot `slot`.
+struct Completion {
+  int slot = 0;
+  int row = 0;
+};
+
 class BasisLu {
  public:
   /// Factorizes the m×m matrix `b`.  Clears the eta file.  Returns false
   /// when the matrix is structurally or numerically singular, in which case
   /// the factorization must not be used.
-  bool factorize(int m, const BasisMatrix& b);
+  ///
+  /// Given `completed`, a singular `b` is completed instead: each slot the
+  /// elimination could not pivot gets the unit column of a row it left
+  /// unpivoted (slots and rows paired in ascending order), the completed
+  /// matrix is factorized, and `completed` lists the replacements (empty
+  /// when `b` was nonsingular).  The simplex uses this to turn a dependent
+  /// warm-start basis column into a slack.
+  bool factorize(int m, const BasisMatrix& b,
+                 std::vector<Completion>* completed = nullptr);
 
   /// Solves B x = b in place: on entry `x` holds b indexed by raw row, on
   /// exit it holds the solution indexed by basis slot, with `x.index`
@@ -151,6 +166,9 @@ class BasisLu {
 
   int m_ = 0;
   int factorizations_ = 0;
+  // Set while a completing factorize() eliminates: singular columns and
+  // rows are left unpivoted instead of failing the factorization.
+  bool complete_ = false;
 
   // Pivot sequence: step k pivoted raw row step_row_[k] against basis slot
   // step_slot_[k] with pivot diag_[k]; row_step_/slot_step_ invert them.

@@ -31,8 +31,17 @@
 //    guarantees termination.
 //
 // Optimal solves export their final basis (`Solution::basis`); the revised
-// core accepts one back via `SolveOptions::warm_start_basis` and, when it is
-// still primal feasible for the new model, skips phase I entirely.
+// core accepts one back via `SolveOptions::warm_start_basis`.  It has one
+// start path: install a basis (the offered one, else the all-slack basis),
+// then repair it — every basic variable out of its bounds moves to the
+// bound it violates and a signed copy of its column takes its slot as an
+// artificial carrying the violation.  On the all-slack basis those are the
+// textbook unit artificials of the rows above, so a cold solve is the
+// classic two-phase method; an offered basis that stays primal feasible
+// skips phase I entirely, and one that does not runs phase I from where
+// it is.  An offered basis with empty slots or dependent columns is
+// completed with slacks first (BasisLu), and a warm solve that breaks
+// down numerically is re-solved cold.
 
 #include <cstdint>
 #include <optional>
@@ -71,17 +80,48 @@ enum class VarStatus : std::uint8_t {
   kBasic = 2,
 };
 
+/// A `Basis::basic` entry naming no column.  Only offered bases hold it
+/// (remap_basis leaves a slot empty when no column of the old basis fits
+/// it); the solver fills the slot with the slack of a row the other basic
+/// columns leave unpivoted.
+inline constexpr std::int32_t kEmptySlot = -1;
+
 /// A complete simplex basis over the standard form's n structural + m slack
 /// columns (artificials are never exported).  `state[j]` gives column j's
-/// status; `basic[r]` the column basic in row r.  A Basis is only meaningful
-/// for a model with matching dimensions — importers validate and fall back
-/// to a cold start on any mismatch.
+/// status; `basic[r]` the column basic in row r, or kEmptySlot.  A Basis is
+/// only meaningful for a model with matching dimensions — importers
+/// validate and fall back to a cold start on any mismatch.
 struct Basis {
   std::vector<VarStatus> state;  ///< size n + m: structural, then slacks
   std::vector<std::int32_t> basic;  ///< size m: column basic in row r
 
   bool operator==(const Basis&) const = default;
 };
+
+/// The names of a model's structural columns and rows, in index order:
+/// the keys remap_basis matches columns and rows on.
+struct BasisKeys {
+  std::vector<std::string> columns;
+  std::vector<std::string> rows;
+
+  /// The variable and row names of `model`.
+  static BasisKeys of(const Model& model);
+};
+
+/// Carries `basis`, exported for the model that `from` names, over to the
+/// model that `to` names, matching columns and rows by key (the first of
+/// duplicate keys wins).  Columns kept by key keep their status; new
+/// columns start at their lower bound.  The slot of a kept row keeps its
+/// basic column when that column survived, and a new row's slot starts
+/// with the row's slack basic.  A surviving basic column whose row was
+/// removed takes the first free slot (or goes to its lower bound when none
+/// is left).  Slots still free — a removed basic column's — stay
+/// kEmptySlot: which rows need a slack there depends on the numbers, so
+/// the solver's completion chooses them.  The result may also be primal
+/// infeasible; the solver repairs it.  Throws std::invalid_argument when
+/// `basis` does not fit `from`.
+Basis remap_basis(const Basis& basis, const BasisKeys& from,
+                  const BasisKeys& to);
 
 struct SolveOptions {
   /// 0 = automatic: max(20000, 60 * (rows + vars)).
@@ -91,8 +131,11 @@ struct SolveOptions {
   /// Values < 1 behave as 1.
   int refactor_interval = 64;
   /// Optional starting basis for the revised core (ignored by the dense
-  /// reference).  An invalid, singular, or primal-infeasible basis falls back
-  /// to the ordinary cold start; a usable one skips phase I.
+  /// reference).  A basis of the wrong shape or an inconsistent one is
+  /// ignored (cold start).  Any other is used: empty slots and a singular
+  /// basis are completed with slacks, a primal-infeasible basis is repaired
+  /// with artificials for a phase I that starts from it, and a feasible one
+  /// skips phase I.
   std::optional<Basis> warm_start_basis;
 
   /// The solver is deterministic, so equal options (and an equal model)
@@ -116,7 +159,9 @@ struct Solution {
   /// Basis LU refactorizations performed (0 for the dense reference).
   int refactorizations = 0;
   /// True when the solve started from SolveOptions::warm_start_basis
-  /// (i.e. the basis was accepted, not merely supplied).
+  /// (i.e. the basis was accepted, not merely supplied).  False after a
+  /// warm attempt broke down numerically and the solve was redone cold;
+  /// iterations and refactorizations then include the abandoned attempt.
   bool warm_started = false;
   /// Final basis of an optimal solve, exported unless an artificial column
   /// remained basic (degenerate equality rows).  Feed back through

@@ -75,7 +75,8 @@ void relink(std::vector<int>& head, std::vector<int>& next,
 
 // ---- factorization --------------------------------------------------------
 
-bool BasisLu::factorize(int m, const BasisMatrix& b) {
+bool BasisLu::factorize(int m, const BasisMatrix& b,
+                        std::vector<Completion>* completed) {
   m_ = m;
   step_row_.clear();
   step_slot_.clear();
@@ -96,14 +97,41 @@ bool BasisLu::factorize(int m, const BasisMatrix& b) {
   mark_.assign(uz(m), 0);
   stamp_ = 0;
 
-  if (static_cast<int>(b.start.size()) != m + 1 ||
-      !eliminate_singletons(b) || !eliminate_bump(b)) {
+  if (completed != nullptr) completed->clear();
+  complete_ = completed != nullptr;
+  const bool eliminated = static_cast<int>(b.start.size()) == m + 1 &&
+                          eliminate_singletons(b) && eliminate_bump(b);
+  complete_ = false;
+  if (eliminated && static_cast<int>(step_row_.size()) == m) {
+    finish_factors();
+    ++factorizations_;
+    return true;
+  }
+  if (!eliminated || completed == nullptr) {
     m_ = 0;
     return false;
   }
-  finish_factors();
-  ++factorizations_;
-  return true;
+  // Singular, and asked to complete: the pivoted columns are independent
+  // and triangular on the pivoted rows, so the unit columns of the rows
+  // left over fill the slots left over to a nonsingular basis.  Pair them
+  // in ascending order and factorize the completed matrix.
+  BasisMatrix full;
+  int next_row = 0;
+  for (int c = 0; c < m; ++c) {
+    if (slot_step_[uz(c)] >= 0) {
+      for (int e = b.start[uz(c)]; e < b.start[uz(c) + 1]; ++e) {
+        full.add(b.row[uz(e)], b.value[uz(e)]);
+      }
+    } else {
+      while (row_step_[uz(next_row)] >= 0) ++next_row;
+      full.add(next_row, 1.0);
+      completed->push_back(Completion{c, next_row++});
+    }
+    full.end_column();
+  }
+  if (factorize(m, full)) return true;
+  completed->clear();
+  return false;
 }
 
 void BasisLu::record_step(int row, int slot, double pivot) {
@@ -149,7 +177,7 @@ bool BasisLu::eliminate_singletons(const BasisMatrix& b) {
 
   pending_.clear();
   for (int c = 0; c < m; ++c) {
-    if (col_count_[uz(c)] == 0) return false;
+    if (col_count_[uz(c)] == 0 && !complete_) return false;
     if (col_count_[uz(c)] == 1) pending_.push_back(c);
   }
   while (!pending_.empty()) {
@@ -164,7 +192,10 @@ bool BasisLu::eliminate_singletons(const BasisMatrix& b) {
         break;
       }
     }
-    if (r < 0 || std::abs(v) <= kSingularTol) return false;
+    if (r < 0 || std::abs(v) <= kSingularTol) {
+      if (complete_) continue;  // left unpivoted for completion
+      return false;
+    }
     for (int p = b_row_start_[uz(r)]; p < b_row_start_[uz(r) + 1]; ++p) {
       const int e = b_row_entry_[uz(p)];
       const int c2 = b_entry_slot_[uz(e)];
@@ -173,7 +204,7 @@ bool BasisLu::eliminate_singletons(const BasisMatrix& b) {
       u_row_.value.push_back(b.value[uz(e)]);
       // A pending column losing its last active row is structurally empty.
       const int left = --col_count_[uz(c2)];
-      if (left == 0) return false;
+      if (left == 0 && !complete_) return false;
       if (left == 1) pending_.push_back(c2);
     }
     record_step(r, c, v);
@@ -198,14 +229,17 @@ bool BasisLu::eliminate_singletons(const BasisMatrix& b) {
         break;
       }
     }
-    if (c < 0 || std::abs(v) <= kSingularTol) return false;
+    if (c < 0 || std::abs(v) <= kSingularTol) {
+      if (complete_) continue;
+      return false;
+    }
     for (int e = b.start[uz(c)]; e < b.start[uz(c) + 1]; ++e) {
       const int i = b.row[uz(e)];
       if (i == r || row_step_[uz(i)] >= 0) continue;
       l_target_.push_back(i);
       l_col_.value.push_back(b.value[uz(e)] / v);
       const int left = --row_count_[uz(i)];
-      if (left == 0) return false;
+      if (left == 0 && !complete_) return false;
       if (left == 1) pending_.push_back(i);
     }
     record_step(r, c, v);
@@ -321,7 +355,8 @@ bool BasisLu::eliminate_bump(const BasisMatrix& b) {
     int r = -1;
     int c = -1;
     double v = 0.0;
-    if (!find_bump_pivot(r, c, v)) return false;
+    // With completion on, what cannot be pivoted is left to factorize().
+    if (!find_bump_pivot(r, c, v)) return complete_;
     relink(col_head_, col_next_, col_prev_, col_count_, c, -1);
     relink(row_head_, row_next_, row_prev_, row_count_, r, -1);
 

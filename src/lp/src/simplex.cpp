@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "omn/lp/basis_lu.hpp"
@@ -566,14 +568,32 @@ class RevisedSolver {
   }
 
   Solution run() {
-    Solution out;
     iter_limit_ = resolve_iteration_limit(opts_, n_, m_);
-
-    bool warm = false;
-    if (opts_.warm_start_basis.has_value()) {
-      warm = try_warm_start(*opts_.warm_start_basis);
+    const std::optional<Basis>& offered = opts_.warm_start_basis;
+    Solution out = solve_from(offered.has_value() ? &*offered : nullptr);
+    if (out.warm_started && numeric_failure_) {
+      // A warm solve that breaks down numerically is solved again cold, so
+      // an offered basis can cost time but never the answer.  The counters
+      // keep the abandoned attempt's pivots and refactorizations.
+      numeric_failure_ = false;
+      iter_limit_ = iterations_ + resolve_iteration_limit(opts_, n_, m_);
+      out = solve_from(nullptr);
     }
-    if (!warm) cold_start();
+    return out;
+  }
+
+ private:
+  /// One solve from `offered` when install_basis accepts it, else from
+  /// the all-slack basis.  Both starts go through repair(), then phase I
+  /// when it made artificials, then phase II.
+  Solution solve_from(const Basis* offered) {
+    Solution out;
+    const bool warm = offered != nullptr && install_basis(*offered);
+    if (!warm) install_slack_basis();
+    // The all-slack basis's values are exact residuals, so the cold start
+    // repairs every violation, however small; a factorized warm basis
+    // keeps the values within the feasibility tolerance.
+    repair(warm ? kFeasibilityTol * sf_.scale : 0.0);
     out.warm_started = warm;
 
     if (num_artificials_ > 0) {
@@ -613,58 +633,35 @@ class RevisedSolver {
     return out;
   }
 
- private:
   // ---- start bases -------------------------------------------------------
 
-  void cold_start() {
+  /// The all-slack basis with every structural at its lower bound; its
+  /// basic values are the standard form's residuals.
+  void install_slack_basis() {
     lower_ = sf_.lower;
     upper_ = sf_.upper;
     state_.assign(uz(n_ + m_), VarStatus::kAtLower);
-
-    const std::vector<double>& residual = sf_.residual;
-    basis_.assign(uz(m_), -1);
-    beta_.assign(uz(m_), 0.0);
-    art_rows_.clear();
-    art_sign_.clear();
+    basis_.resize(uz(m_));
     for (int r = 0; r < m_; ++r) {
-      const bool eq = sf_.eq_row[uz(r)] != 0;
-      const double res = residual[uz(r)];
-      const bool slack_ok = eq ? res == 0.0 : res >= 0.0;
-      if (slack_ok) {
-        basis_[uz(r)] = n_ + r;
-        beta_[uz(r)] = res;
-      } else {
-        art_rows_.push_back(r);
-        art_sign_.push_back(res >= 0.0 ? 1.0 : -1.0);
-      }
+      basis_[uz(r)] = n_ + r;
+      state_[uz(n_ + r)] = VarStatus::kBasic;
     }
-    num_artificials_ = static_cast<int>(art_rows_.size());
-    total_ = n_ + m_ + num_artificials_;
-    lower_.resize(uz(total_), 0.0);
-    upper_.resize(uz(total_), kInfinity);
-    state_.resize(uz(total_), VarStatus::kAtLower);
-    art_of_row_.assign(uz(m_), -1);
-    for (int a = 0; a < num_artificials_; ++a) {
-      const int r = art_rows_[uz(a)];
-      basis_[uz(r)] = n_ + m_ + a;
-      beta_[uz(r)] = std::abs(residual[uz(r)]);
-      art_of_row_[uz(r)] = a;
-    }
-    for (int r = 0; r < m_; ++r) state_[uz(basis_[uz(r)])] = VarStatus::kBasic;
-    pos_.assign(uz(total_), -1);
-    for (int r = 0; r < m_; ++r) pos_[uz(basis_[uz(r)])] = r;
-    init_scratch();
+    beta_ = sf_.residual;
   }
 
-  /// Validates and installs a caller-supplied basis; returns false (leaving
-  /// the solver ready for cold_start) on any shape, consistency, linear
-  /// algebra, or primal feasibility problem.
-  bool try_warm_start(const Basis& b) {
+  /// Validates and installs a caller-supplied basis, factorizes it and
+  /// computes its basic values.  A singular basis is completed: each
+  /// dependent column goes nonbasic at its lower bound and the slack of a
+  /// row it left unpivoted takes its slot.  Returns false (leaving the
+  /// solver ready for install_slack_basis) on a shape or consistency
+  /// problem, or when even the completed basis cannot be factorized.
+  bool install_basis(const Basis& b) {
     if (static_cast<int>(b.state.size()) != n_ + m_) return false;
     if (static_cast<int>(b.basic.size()) != m_) return false;
     std::vector<std::uint8_t> used(uz(n_ + m_), 0);
     for (int r = 0; r < m_; ++r) {
       const int j = b.basic[uz(r)];
+      if (j == kEmptySlot) continue;  // completed below
       if (j < 0 || j >= n_ + m_ || used[uz(j)]) return false;
       if (b.state[uz(j)] != VarStatus::kBasic) return false;
       used[uz(j)] = 1;
@@ -686,33 +683,87 @@ class RevisedSolver {
 
     num_artificials_ = 0;
     total_ = n_ + m_;
-    art_rows_.clear();
+    art_src_.clear();
     art_sign_.clear();
-    art_of_row_.assign(uz(m_), -1);
     lower_ = sf_.lower;
     upper_ = sf_.upper;
     state_ = b.state;
-    basis_.assign(uz(m_), -1);
+    basis_ = b.basic;
     pos_.assign(uz(total_), -1);
     for (int r = 0; r < m_; ++r) {
-      basis_[uz(r)] = b.basic[uz(r)];
-      pos_[uz(b.basic[uz(r)])] = r;
+      if (basis_[uz(r)] != kEmptySlot) pos_[uz(basis_[uz(r)])] = r;
     }
-    init_scratch();
 
-    if (!factorize_current_basis()) return false;
+    std::vector<Completion> completed;
+    if (!factorize_current_basis(&completed)) return false;
+    for (const Completion& c : completed) {
+      const int slack = n_ + c.row;
+      // A basic slack always pivots its own row, so this cannot happen.
+      if (state_[uz(slack)] == VarStatus::kBasic) return false;
+      const int dependent = basis_[uz(c.slot)];
+      if (dependent != kEmptySlot) {
+        state_[uz(dependent)] = VarStatus::kAtLower;
+        pos_[uz(dependent)] = -1;
+      }
+      state_[uz(slack)] = VarStatus::kBasic;
+      pos_[uz(slack)] = c.slot;
+      basis_[uz(c.slot)] = slack;
+    }
+    dense_.assign(uz(m_), 0.0);
     compute_beta();
-    // The imported basis must already be primal feasible for this model —
-    // the usual case when only costs were perturbed.  Otherwise phase I
-    // would be required anyway, so the cold start is no worse.
-    const double tol = kFeasibilityTol * sf_.scale;
+    return true;
+  }
+
+  /// Makes the installed basis primal feasible without moving any basic
+  /// value that is within `tol` of its bounds.  Each basic variable out of
+  /// bounds by more moves to the bound it violates, and an artificial
+  /// takes its slot: the variable's own column, signed so that the
+  /// artificial's value is the (positive) violation.  The slot's column
+  /// only changes sign, so the other basic values stay put, and phase I
+  /// minimizes the artificials' sum from there.  On the all-slack basis a
+  /// slack-sourced artificial is the textbook unit artificial of its row.
+  void repair(double tol) {
+    art_src_.clear();
+    art_sign_.clear();
+    struct_arts_.clear();
     for (int r = 0; r < m_; ++r) {
       const int j = basis_[uz(r)];
-      if (beta_[uz(r)] < lower_[uz(j)] - tol) return false;
-      const double ub = upper_[uz(j)];
-      if (std::isfinite(ub) && beta_[uz(r)] > ub + tol) return false;
+      const double v = beta_[uz(r)];
+      double sign;
+      if (v < lower_[uz(j)] - tol) {
+        sign = -1.0;
+        beta_[uz(r)] = lower_[uz(j)] - v;
+        state_[uz(j)] = VarStatus::kAtLower;
+      } else if (v > upper_[uz(j)] + tol) {
+        sign = 1.0;
+        beta_[uz(r)] = v - upper_[uz(j)];
+        state_[uz(j)] = lower_[uz(j)] == upper_[uz(j)] ? VarStatus::kAtLower
+                                                       : VarStatus::kAtUpper;
+      } else {
+        continue;
+      }
+      basis_[uz(r)] = n_ + m_ + static_cast<int>(art_src_.size());
+      art_src_.push_back(j);
+      art_sign_.push_back(sign);
     }
-    return true;
+    num_artificials_ = static_cast<int>(art_src_.size());
+    total_ = n_ + m_ + num_artificials_;
+    lower_.resize(uz(total_), 0.0);
+    upper_.resize(uz(total_), kInfinity);
+    state_.resize(uz(total_), VarStatus::kAtLower);
+    art_of_row_.assign(uz(m_), -1);
+    for (int a = 0; a < num_artificials_; ++a) {
+      state_[uz(n_ + m_ + a)] = VarStatus::kBasic;
+      const int src = art_src_[uz(a)];
+      if (src >= n_) {
+        art_of_row_[uz(src - n_)] = a;
+      } else {
+        struct_arts_.push_back(a);
+      }
+    }
+    pos_.assign(uz(total_), -1);
+    for (int r = 0; r < m_; ++r) pos_[uz(basis_[uz(r)])] = r;
+    init_scratch();
   }
 
   void init_scratch() {
@@ -738,7 +789,15 @@ class RevisedSolver {
     } else if (j < n_ + m_) {
       out.set(j - n_, 1.0);
     } else {
-      out.set(art_rows_[uz(j - n_ - m_)], art_sign_[uz(j - n_ - m_)]);
+      const int src = art_src_[uz(j - n_ - m_)];
+      const double sign = art_sign_[uz(j - n_ - m_)];
+      if (src >= n_) {
+        out.set(src - n_, sign);
+        return;
+      }
+      for (int k = sf_.col_ptr[uz(src)]; k < sf_.col_ptr[uz(src) + 1]; ++k) {
+        out.set(sf_.col_row[uz(k)], sign * sf_.col_val[uz(k)]);
+      }
     }
   }
 
@@ -765,36 +824,45 @@ class RevisedSolver {
       return acc;
     }
     if (j < n_ + m_) return y[uz(j - n_)];
-    return art_sign_[uz(j - n_ - m_)] * y[uz(art_rows_[uz(j - n_ - m_)])];
+    return art_sign_[uz(j - n_ - m_)] * column_dot(art_src_[uz(j - n_ - m_)], y);
   }
 
   // ---- factorization / recomputation -------------------------------------
 
-  bool factorize_current_basis() {
+  /// Factorizes the basis in basis_; with `completed`, a singular one is
+  /// completed (BasisLu::factorize) and the replacements listed there.
+  bool factorize_current_basis(std::vector<Completion>* completed = nullptr) {
     basis_matrix_.clear();
     for (int r = 0; r < m_; ++r) {
-      const int j = basis_[uz(r)];
+      int j = basis_[uz(r)];
+      if (j == kEmptySlot) {  // an empty column: completion fills the slot
+        basis_matrix_.end_column();
+        continue;
+      }
+      double sign = 1.0;
+      if (j >= n_ + m_) {
+        sign = art_sign_[uz(j - n_ - m_)];
+        j = art_src_[uz(j - n_ - m_)];
+      }
       if (j < n_) {
         for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
-          basis_matrix_.add(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
+          basis_matrix_.add(sf_.col_row[uz(k)], sign * sf_.col_val[uz(k)]);
         }
-      } else if (j < n_ + m_) {
-        basis_matrix_.add(j - n_, 1.0);
       } else {
-        basis_matrix_.add(art_rows_[uz(j - n_ - m_)],
-                          art_sign_[uz(j - n_ - m_)]);
+        basis_matrix_.add(j - n_, sign);
       }
       basis_matrix_.end_column();
     }
-    return lu_.factorize(m_, basis_matrix_);
+    return lu_.factorize(m_, basis_matrix_, completed);
   }
 
   void compute_beta() {
     // beta = B^{-1} (b - A_N x_N): subtract every nonbasic column at its
-    // bound value, then ftran.
+    // bound value, then ftran.  A nonbasic artificial sits at zero (its
+    // lower bound, or its upper bound once phase II froze it).
     std::vector<double>& rhs = dense_;
     for (int r = 0; r < m_; ++r) rhs[uz(r)] = sf_.row_rhs[uz(r)];
-    for (int j = 0; j < total_; ++j) {
+    for (int j = 0; j < n_ + m_; ++j) {
       if (state_[uz(j)] == VarStatus::kBasic) continue;
       const double v = state_[uz(j)] == VarStatus::kAtLower ? lower_[uz(j)]
                                                             : upper_[uz(j)];
@@ -803,10 +871,8 @@ class RevisedSolver {
         for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
           rhs[uz(sf_.col_row[uz(k)])] -= sf_.col_val[uz(k)] * v;
         }
-      } else if (j < n_ + m_) {
-        rhs[uz(j - n_)] -= v;
       } else {
-        rhs[uz(art_rows_[uz(j - n_ - m_)])] -= art_sign_[uz(j - n_ - m_)] * v;
+        rhs[uz(j - n_)] -= v;
       }
     }
     lu_.ftran(rhs);
@@ -1079,6 +1145,13 @@ class RevisedSolver {
         add(n_ + m_ + a, art_sign_[uz(a)] * y);
       }
     }
+    // A structural-sourced artificial is its source column, signed.
+    for (int a : struct_arts_) {
+      const int src = art_src_[uz(a)];
+      if (n_ + m_ + a < limit && touched_[uz(src)]) {
+        add(n_ + m_ + a, art_sign_[uz(a)] * alpha_[uz(src)]);
+      }
+    }
   }
 
   SolveStatus fail() {
@@ -1128,9 +1201,12 @@ class RevisedSolver {
   int num_artificials_ = 0;
   int iter_limit_ = 0;
 
-  std::vector<int> art_rows_;
+  // Artificial a is column art_src_[a] (structural or slack) times
+  // art_sign_[a]; repair() makes them.
+  std::vector<int> art_src_;
   std::vector<double> art_sign_;
-  std::vector<int> art_of_row_;  // row -> artificial index, -1 if none
+  std::vector<int> art_of_row_;    // row -> its slack's artificial, or -1
+  std::vector<int> struct_arts_;   // artificials with a structural source
 
   std::vector<double> lower_, upper_;
   std::vector<VarStatus> state_;
@@ -1184,6 +1260,110 @@ Solution solve_box(const Model& model) {
 }
 
 }  // namespace
+
+BasisKeys BasisKeys::of(const Model& model) {
+  BasisKeys keys;
+  keys.columns.reserve(uz(model.num_variables()));
+  for (int j = 0; j < model.num_variables(); ++j) {
+    keys.columns.push_back(model.variable(j).name);
+  }
+  keys.rows.reserve(uz(model.num_rows()));
+  for (int r = 0; r < model.num_rows(); ++r) {
+    keys.rows.push_back(model.row(r).name);
+  }
+  return keys;
+}
+
+namespace {
+
+/// For each key of `to`, the index of the same key in `from` (the first
+/// of duplicates), or -1; each `from` index is claimed at most once.
+std::vector<int> match_keys(const std::vector<std::string>& from,
+                            const std::vector<std::string>& to) {
+  std::unordered_map<std::string_view, int> by_key;
+  by_key.reserve(from.size());
+  for (std::size_t k = 0; k < from.size(); ++k) {
+    by_key.emplace(from[k], static_cast<int>(k));
+  }
+  std::vector<std::uint8_t> claimed(from.size(), 0);
+  std::vector<int> out(to.size(), -1);
+  for (std::size_t k = 0; k < to.size(); ++k) {
+    const auto it = by_key.find(to[k]);
+    if (it == by_key.end() || claimed[uz(it->second)]) continue;
+    claimed[uz(it->second)] = 1;
+    out[k] = it->second;
+  }
+  return out;
+}
+
+}  // namespace
+
+Basis remap_basis(const Basis& basis, const BasisKeys& from,
+                  const BasisKeys& to) {
+  const int n0 = static_cast<int>(from.columns.size());
+  const int m0 = static_cast<int>(from.rows.size());
+  if (static_cast<int>(basis.state.size()) != n0 + m0 ||
+      static_cast<int>(basis.basic.size()) != m0) {
+    throw std::invalid_argument("remap_basis: basis does not fit its keys");
+  }
+  const int n = static_cast<int>(to.columns.size());
+  const int m = static_cast<int>(to.rows.size());
+  const std::vector<int> col_from = match_keys(from.columns, to.columns);
+  const std::vector<int> row_from = match_keys(from.rows, to.rows);
+
+  // Column maps over structural + slack indices, both directions.
+  std::vector<int> old_of(uz(n + m), -1);
+  std::vector<int> new_of(uz(n0 + m0), -1);
+  for (int j = 0; j < n; ++j) old_of[uz(j)] = col_from[uz(j)];
+  for (int r = 0; r < m; ++r) {
+    if (row_from[uz(r)] >= 0) old_of[uz(n + r)] = n0 + row_from[uz(r)];
+  }
+  for (int j = 0; j < n + m; ++j) {
+    if (old_of[uz(j)] >= 0) new_of[uz(old_of[uz(j)])] = j;
+  }
+  // The new index of the column basic in old slot r, or -1.
+  const auto survivor = [&](int r) {
+    const int j = basis.basic[uz(r)];
+    return j == kEmptySlot ? -1 : new_of[uz(j)];
+  };
+
+  Basis out;
+  out.state.assign(uz(n + m), VarStatus::kAtLower);
+  out.basic.assign(uz(m), kEmptySlot);
+  for (int j = 0; j < n + m; ++j) {
+    const int old = old_of[uz(j)];
+    if (old >= 0 && basis.state[uz(old)] != VarStatus::kBasic) {
+      out.state[uz(j)] = basis.state[uz(old)];
+    }
+  }
+  std::vector<std::uint8_t> placed(uz(n + m), 0);
+  const auto place = [&](int r, int j) {
+    out.basic[uz(r)] = j;
+    out.state[uz(j)] = VarStatus::kBasic;
+    placed[uz(j)] = 1;
+  };
+  // Slots of kept rows keep their surviving basic columns, and new rows
+  // start with their slack basic ...
+  for (int r = 0; r < m; ++r) {
+    if (row_from[uz(r)] >= 0) {
+      const int j = survivor(row_from[uz(r)]);
+      if (j >= 0) place(r, j);
+    } else {
+      place(r, n + r);
+    }
+  }
+  // ... a surviving basic column whose row was removed takes a free slot,
+  // and the slots still free are left empty for the solver to complete.
+  int slot = 0;
+  for (int r = 0; r < m0; ++r) {
+    const int j = survivor(r);
+    if (j < 0 || placed[uz(j)]) continue;
+    while (slot < m && out.basic[uz(slot)] != kEmptySlot) ++slot;
+    if (slot == m) break;
+    place(slot, j);
+  }
+  return out;
+}
 
 Solution SimplexSolver::solve(const Model& model,
                               const SolveOptions& options) const {

@@ -3,11 +3,14 @@
 #
 # An event `omn_design serve` has acknowledged survives a SIGKILL.  A
 # journaled session takes a mixed event stream, is killed with -9 after
-# its sixth ack, and a second process resumes from the journal.  The
-# resumed session must replay all six events, land on the design digest
+# its seventh ack, and a second process resumes from the journal.  The
+# resumed session must replay all seven events, land on the design digest
 # a fresh unjournaled session reaches from the same stream (which must
 # differ from the initial digest, so the check is not vacuous), keep
-# serving, and quit cleanly.
+# serving, and quit cleanly.  The stream adds a reflector and removes two
+# (one of them the added one, which carries traffic): every one of those
+# redesigns must ack warm=1, so the basis remapped across node events is
+# what the journal replays.
 set -eu
 omn_design=$1
 dir=$(mktemp -d)
@@ -37,10 +40,11 @@ edge-fail rd refl3 edge2
 capacity-set refl1 3
 edge-fail sr src0 refl4
 node-remove refl6
+node-remove reflX
 edge-restore rd refl3 edge2'
 
 # Session A: journaled, fed through a fifo that stays open so the daemon
-# never sees end of input; killed once the sixth ack is out.
+# never sees end of input; killed once the seventh ack is out.
 mkfifo "$dir/in"
 "$omn_design" serve --instance "$dir/inst.txt" --journal "$dir/journal" \
   --warm-start < "$dir/in" > "$dir/killed.out" &
@@ -48,11 +52,11 @@ pid=$!
 exec 3>"$dir/in"
 printf '%s\n' "$events" >&3
 polls=0
-until grep -q '^ok 6 ' "$dir/killed.out"; do
-  kill -0 "$pid" 2>/dev/null || fail "serve exited before acking event 6"
+until grep -q '^ok 7 ' "$dir/killed.out"; do
+  kill -0 "$pid" 2>/dev/null || fail "serve exited before acking event 7"
   ! grep -qv '^ok ' "$dir/killed.out" || fail "serve rejected a line"
   polls=$((polls + 1))
-  [ "$polls" -le 600 ] || fail "serve did not ack event 6 within 60 s"
+  [ "$polls" -le 600 ] || fail "serve did not ack event 7 within 60 s"
   sleep 0.1
 done
 kill -9 "$pid"
@@ -61,16 +65,18 @@ wait "$pid" || status=$?
 pid=
 exec 3>&-
 [ "$status" -eq 137 ] || fail "killed serve exited with $status, not 137"
+[ "$(grep -c '^ok [0-9]* node-[a-z]* .* warm=1 ' "$dir/killed.out")" -eq 3 ] \
+  || fail "a node event's redesign did not start warm"
 
 # Session B resumes from the journal.
 status=0
 printf 'query\nquit\n' | "$omn_design" serve --instance "$dir/inst.txt" \
   --journal "$dir/journal" --warm-start > "$dir/resumed.out" || status=$?
 [ "$status" -eq 0 ] || fail "resumed serve exited with $status"
-grep -q '^ok [0-9]* ready .* replayed=6 ' "$dir/resumed.out" \
-  || fail "resume did not replay all 6 journaled events"
-tail -n 1 "$dir/resumed.out" | grep -qx 'ok 6 bye' \
-  || fail "resumed session did not end with 'ok 6 bye'"
+grep -q '^ok [0-9]* ready .* replayed=7 ' "$dir/resumed.out" \
+  || fail "resume did not replay all 7 journaled events"
+tail -n 1 "$dir/resumed.out" | grep -qx 'ok 7 bye' \
+  || fail "resumed session did not end with 'ok 7 bye'"
 
 # Reference: a fresh unjournaled session on the same stream.
 { printf '%s\n' "$events"; printf 'query\nquit\n'; } \

@@ -8,7 +8,9 @@
 //  - The hypersparse solve path (a unit right-hand side with a one-entry
 //    index) agrees with dense right-hand sides, and its index lists every
 //    nonzero exactly once.
-//  - Structurally and numerically singular bases make factorize() fail.
+//  - Structurally and numerically singular bases make factorize() fail,
+//    or, when asked, are completed with unit columns on the rows the
+//    elimination left unpivoted.
 //  - A tiny update pivot is refused and leaves the factors usable.
 #include "omn/lp/basis_lu.hpp"
 
@@ -26,6 +28,7 @@ namespace {
 
 using omn::lp::BasisLu;
 using omn::lp::BasisMatrix;
+using omn::lp::Completion;
 using omn::lp::SparseVector;
 using omn::util::Rng;
 
@@ -354,6 +357,68 @@ TEST(BasisLu, NumericallySingularBasesAreRejected) {
     b[uz(i)][uz(dense_b)] = -3.0 * b[uz(i)][uz(dense_a)];
   }
   EXPECT_FALSE(lu.factorize(m, to_matrix(b)));
+}
+
+/// `b` with each completed slot's column replaced by its unit column.
+Dense apply_completion(Dense b, const std::vector<Completion>& completed) {
+  for (const Completion& c : completed) {
+    for (auto& row : b) row[uz(c.slot)] = 0.0;
+    b[uz(c.row)][uz(c.slot)] = 1.0;
+  }
+  return b;
+}
+
+TEST(BasisLu, CompletionLeavesNonsingularBasesAlone) {
+  Rng rng(31);
+  const int m = 50;
+  const Dense b = make_basis(m, m / 5, rng);
+  BasisLu lu;
+  std::vector<Completion> completed{{0, 0}};  // cleared by factorize
+  ASSERT_TRUE(lu.factorize(m, to_matrix(b), &completed));
+  EXPECT_TRUE(completed.empty());
+  expect_solves(lu, b, rng, "nonsingular, completion on");
+}
+
+TEST(BasisLu, SingularBasesAreCompletedWithUnitColumns) {
+  BasisLu lu;
+  Rng rng(41);
+  std::vector<Completion> completed;
+  // Two unit columns on row 1: one of them cannot pivot, and slot 0
+  // pivots only one of rows 0 and 2.
+  const Dense twice = {{1.0, 0.0, 0.0}, {0.0, 1.0, 1.0}, {2.0, 0.0, 0.0}};
+  ASSERT_TRUE(lu.factorize(3, to_matrix(twice), &completed));
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_NE(completed[0].slot, 0);
+  EXPECT_NE(completed[0].row, 1);
+  expect_solves(lu, apply_completion(twice, completed), rng, "unit twice");
+
+  // An empty slot and a numerically dependent column at once.
+  Dense b = make_basis(40, 8, rng);
+  for (auto& row : b) row[3] = 0.0;
+  int dense_col = -1;
+  for (int r = 0; r < 40 && dense_col < 0; ++r) {
+    int count = 0;
+    for (int i = 0; i < 40; ++i) count += b[uz(i)][uz(r)] != 0.0;
+    if (count >= 3 && r != 3) dense_col = r;
+  }
+  ASSERT_GE(dense_col, 0);
+  const int copy = dense_col == 5 ? 6 : 5;
+  for (int i = 0; i < 40; ++i) {
+    b[uz(i)][uz(copy)] = 2.0 * b[uz(i)][uz(dense_col)];
+  }
+  EXPECT_FALSE(lu.factorize(40, to_matrix(b)));
+  ASSERT_TRUE(lu.factorize(40, to_matrix(b), &completed));
+  ASSERT_EQ(completed.size(), 2u);
+  std::set<int> slots;
+  std::set<int> rows;
+  for (const Completion& c : completed) {
+    slots.insert(c.slot);
+    rows.insert(c.row);
+  }
+  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(slots.count(3));
+  EXPECT_TRUE(slots.count(copy) || slots.count(dense_col));
+  expect_solves(lu, apply_completion(b, completed), rng, "completed");
 }
 
 TEST(BasisLu, TinyUpdatePivotIsRefusedAndFactorsStayUsable) {

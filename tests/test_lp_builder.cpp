@@ -1,8 +1,12 @@
-// Tests for the Section-2 LP builder: structure, feasibility on generated
-// topologies, weight clamping, and the extension toggles.
+// Tests for the Section-2 LP builder: structure, entity-name keys,
+// feasibility on generated topologies, weight clamping, and the extension
+// toggles.
 #include "omn/core/lp_builder.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "omn/lp/simplex.hpp"
 #include "omn/topo/akamai.hpp"
@@ -39,6 +43,24 @@ TEST(LpBuilder, VariableCounts) {
   for (int v : lp.z_var) EXPECT_GE(v, 0);
   for (int v : lp.y_var) EXPECT_GE(v, 0);
   for (int v : lp.x_var) EXPECT_GE(v, 0);
+}
+
+TEST(LpBuilder, ColumnsAndRowsAreKeyedByEntityNames) {
+  const OverlayInstance inst = tiny();
+  LpBuildOptions options;
+  options.color_constraints = true;
+  const OverlayLp lp = build_overlay_lp(inst, options);
+  const omn::lp::BasisKeys keys = omn::lp::BasisKeys::of(lp.model);
+  const std::vector<std::string> columns = {
+      "z|r0", "z|r1", "y|s0|r0", "y|s0|r1",
+      "x|r0|d0", "x|r1|d0", "x|r0|d1", "x|r1|d1"};
+  EXPECT_EQ(keys.columns, columns);
+  const std::vector<std::string> rows = {
+      "yz|s0|r0", "yz|s0|r1", "xy|r0|d0", "xy|r1|d0", "xy|r0|d1",
+      "xy|r1|d1", "fanout|r0", "fanout|r1", "cut|s0|r0", "cut|s0|r1",
+      "demand|d0", "demand|d1", "color|d0|0", "color|d0|1", "color|d1|0",
+      "color|d1|1"};
+  EXPECT_EQ(keys.rows, rows);
 }
 
 TEST(LpBuilder, RowCountsWithAndWithoutCuttingPlane) {

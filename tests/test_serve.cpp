@@ -485,6 +485,39 @@ TEST(DesignState, WarmStartsWithoutACacheService) {
   EXPECT_EQ(state.context().find_service<LpCache>(), nullptr);
 }
 
+// Node events change the LP's shape; the warm state carries its basis
+// over by key, so both redesigns still start warm and reach the cold
+// optimum.  The added reflector is cheap enough to carry traffic, so its
+// removal takes basic columns away.
+TEST(DesignState, NodeEventsWarmStartFromTheRemappedBasis) {
+  const auto inst =
+      omn::topo::make_akamai_like(omn::topo::global_event_config(32, 3));
+  DesignState state(inst, warm_config(), omn::util::ExecutionContext::serial());
+  ASSERT_TRUE(state.redesign().ok());
+  const auto expect_cold_objective = [&](const DesignResult& warm) {
+    const DesignResult cold = OverlayDesigner(base_config()).design(
+        state.instance(), omn::util::ExecutionContext::serial());
+    ASSERT_TRUE(cold.ok());
+    EXPECT_NEAR(warm.lp_objective, cold.lp_objective,
+                1e-7 * (1.0 + std::abs(cold.lp_objective)));
+  };
+
+  state.add_reflector("joined", 5.0, 16.0, 0, 0.2, 0.01);
+  const DesignResult& added = state.redesign();
+  ASSERT_TRUE(added.ok());
+  EXPECT_TRUE(added.lp_warm_start);
+  expect_cold_objective(added);
+  ASSERT_GT(added.lp_design.z[static_cast<std::size_t>(
+                state.find_reflector("joined"))],
+            0.0);
+
+  state.remove_reflector("joined");
+  const DesignResult& removed = state.redesign();
+  ASSERT_TRUE(removed.ok());
+  EXPECT_TRUE(removed.lp_warm_start);
+  expect_cold_objective(removed);
+}
+
 // Two warm states are built on one context carrying an LpCache, over
 // same-shaped instances with different costs.  Each drops the cache from
 // its own copy of the context, so the cache sees no traffic and the

@@ -15,6 +15,8 @@
 //  - Warm starts: re-solving a perturbed instance from the previous
 //    optimal basis must converge in measurably fewer iterations and
 //    reach the same optimum.
+//  - A primal-infeasible or singular offered basis is repaired and
+//    completed in place, not rejected; remap_basis follows keys.
 //  - Basis export/import round trip and refactorization behaviour.
 //  - Every optimal differential case with an exported basis also passes
 //    the independent optimality certificate (lp_certificate.hpp).
@@ -24,6 +26,7 @@
 
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "lp_certificate.hpp"
@@ -273,6 +276,120 @@ TEST(RevisedSimplexWarmStart, ExportedBasisRestartsToOptimalInOnePass) {
   EXPECT_EQ(warm.iterations, 0);
   const double scale = 1.0 + std::abs(cold.objective);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * scale);
+}
+
+TEST(RevisedSimplexWarmStart, PrimalInfeasibleBasisIsRepaired) {
+  omn::core::OverlayLp lp = make_overlay_lp(23);
+  const Solution before = SimplexSolver().solve(lp.model);
+  ASSERT_EQ(before.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(before.basis.has_value());
+
+  // Raising the demands moves the old optimum out of the feasible region:
+  // the old basis is primal infeasible for the new model.
+  for (int r = 0; r < lp.model.num_rows(); ++r) {
+    if (lp.model.row(r).name.rfind("demand|", 0) == 0) {
+      lp.model.row(r).rhs *= 1.1;
+    }
+  }
+  const Solution cold = SimplexSolver().solve(lp.model);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+
+  SolveOptions options;
+  options.warm_start_basis = *before.basis;
+  const Solution warm = SimplexSolver().solve(lp.model, options);
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_GT(warm.phase1_iterations, 0);  // repaired, not skipped
+  const double scale = 1.0 + std::abs(cold.objective);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * scale);
+  const omn::lp::testing::Certificate cert =
+      omn::lp::testing::check_optimality(lp.model, warm);
+  EXPECT_TRUE(cert.ok) << cert.failure;
+  EXPECT_LT(warm.iterations, cold.iterations);
+}
+
+TEST(RevisedSimplexWarmStart, EmptyAndDependentSlotsAreCompleted) {
+  const omn::core::OverlayLp lp = make_overlay_lp(29);
+  const Solution cold = SimplexSolver().solve(lp.model);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(cold.basis.has_value());
+  const int n = lp.model.num_variables();
+  const int m = lp.model.num_rows();
+
+  // Empty two structural slots: the solver fills them with the slacks of
+  // rows the remaining columns leave unpivoted.
+  Basis offered = *cold.basis;
+  int emptied = 0;
+  for (int r = 0; r < m && emptied < 2; ++r) {
+    const int j = offered.basic[static_cast<std::size_t>(r)];
+    if (j >= n) continue;
+    offered.state[static_cast<std::size_t>(j)] = omn::lp::VarStatus::kAtLower;
+    offered.basic[static_cast<std::size_t>(r)] = omn::lp::kEmptySlot;
+    ++emptied;
+  }
+  ASSERT_EQ(emptied, 2);
+
+  SolveOptions options;
+  options.warm_start_basis = offered;
+  const Solution warm = SimplexSolver().solve(lp.model, options);
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  const double scale = 1.0 + std::abs(cold.objective);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * scale);
+  const omn::lp::testing::Certificate cert =
+      omn::lp::testing::check_optimality(lp.model, warm);
+  EXPECT_TRUE(cert.ok) << cert.failure;
+}
+
+// ---- basis remapping -------------------------------------------------------
+
+TEST(RemapBasis, SameKeysGiveTheSameBasis) {
+  const omn::core::OverlayLp lp = make_overlay_lp(31);
+  const Solution cold = SimplexSolver().solve(lp.model);
+  ASSERT_TRUE(cold.basis.has_value());
+  const omn::lp::BasisKeys keys = omn::lp::BasisKeys::of(lp.model);
+  EXPECT_EQ(omn::lp::remap_basis(*cold.basis, keys, keys), *cold.basis);
+}
+
+TEST(RemapBasis, FollowsKeysAcrossAddedAndRemovedColumnsAndRows) {
+  using omn::lp::VarStatus;
+  // Old model: columns a b c, rows p q; slot p holds b, slot q the slack
+  // of p; c sits at its upper bound.
+  omn::lp::BasisKeys from{{"a", "b", "c"}, {"p", "q"}};
+  Basis old;
+  old.state = {VarStatus::kAtLower, VarStatus::kBasic, VarStatus::kAtUpper,
+               VarStatus::kBasic, VarStatus::kAtLower};
+  old.basic = {1, 3};
+
+  // New model: b is gone, d is new, row q is gone and row s is new.
+  const omn::lp::BasisKeys to{{"c", "d", "a"}, {"s", "p"}};
+  const Basis mapped = omn::lp::remap_basis(old, from, to);
+  // Columns: c keeps its upper bound, d and a start at their lower bound.
+  EXPECT_EQ(mapped.state[0], VarStatus::kAtUpper);
+  EXPECT_EQ(mapped.state[1], VarStatus::kAtLower);
+  EXPECT_EQ(mapped.state[2], VarStatus::kAtLower);
+  // s is new: its slack (column 3) is basic in its slot.  p's basic
+  // column b was removed, and p's slack (column 4), basic before in the
+  // removed row q's slot, takes p's slot.
+  ASSERT_EQ(mapped.basic.size(), 2u);
+  EXPECT_EQ(mapped.basic[0], 3);
+  EXPECT_EQ(mapped.basic[1], 4);
+  EXPECT_EQ(mapped.state[3], VarStatus::kBasic);
+  EXPECT_EQ(mapped.state[4], VarStatus::kBasic);
+
+  // Without a surviving column to take it, a removed basic column's slot
+  // is left empty for the solver to complete.
+  old.basic = {3, 1};  // slot p: slack of p; slot q: b
+  from.rows = {"p", "q"};
+  const Basis emptied =
+      omn::lp::remap_basis(old, from, omn::lp::BasisKeys{{"a"}, {"q", "p"}});
+  ASSERT_EQ(emptied.basic.size(), 2u);
+  EXPECT_EQ(emptied.basic[0], omn::lp::kEmptySlot);
+  EXPECT_EQ(emptied.basic[1], 2);  // p's slack, column n + 1
+
+  EXPECT_THROW(
+      omn::lp::remap_basis(old, omn::lp::BasisKeys{{"a"}, {"p"}}, to),
+      std::invalid_argument);
 }
 
 // ---- refactorization ------------------------------------------------------
